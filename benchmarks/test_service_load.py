@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.models.mlp_baseline import MLPBaseline
-from repro.perf.report import (load_serve_bench_report,
+from repro.perf.report import (load_serve_bench_report, report_requested,
                                write_serve_bench_report)
 from repro.pipeline import PipelineConfig
 from repro.placement import PlacementConfig
@@ -45,7 +45,8 @@ BENCH_SERVE_PATH = os.path.join(os.path.dirname(__file__), "..",
                                 "BENCH_serve.json")
 
 #: Entries accumulated by the benches below; flushed (and re-validated)
-#: once the module finishes, so partial ``-k`` runs still record.
+#: once the module finishes when ``REPRO_BENCH_REPORT=1``, so partial
+#: ``-k`` runs still record.
 _ENTRIES: dict[str, dict] = {}
 
 
@@ -59,7 +60,7 @@ def usable_cores() -> int:
 @pytest.fixture(scope="module", autouse=True)
 def _serve_bench_report():
     yield
-    if _ENTRIES:
+    if _ENTRIES and report_requested():
         path = write_serve_bench_report(
             BENCH_SERVE_PATH, _ENTRIES,
             context={"source": "benchmarks/test_service_load.py",

@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import superblue_suite
-from repro.perf.report import (load_store_bench_report,
+from repro.perf.report import (load_store_bench_report, report_requested,
                                write_store_bench_report)
 from repro.pipeline import (PipelineConfig, StageCache, prepare_design,
                             stage_keys_for)
@@ -52,14 +52,15 @@ BATCH = 20
 ROUNDS = 15
 
 #: Entries accumulated by the benches below; flushed and re-validated
-#: once the module finishes, so partial ``-k`` runs still record.
+#: once the module finishes when ``REPRO_BENCH_REPORT=1``, so partial
+#: ``-k`` runs still record.
 _ENTRIES: dict[str, dict] = {}
 
 
 @pytest.fixture(scope="module", autouse=True)
 def _store_bench_report():
     yield
-    if _ENTRIES:
+    if _ENTRIES and report_requested():
         path = write_store_bench_report(
             BENCH_STORE_PATH, _ENTRIES,
             context={"source": "benchmarks/test_store_overhead.py",

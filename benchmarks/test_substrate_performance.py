@@ -35,7 +35,8 @@ from repro.nn import DtypeConfig, SparseMatrix, Tensor, no_grad, spmm
 from repro.nn.conv import Conv2d
 from repro.nn.losses import JointLoss
 from repro.nn.optim import Adam
-from repro.perf.report import speedup_entry, write_bench_report
+from repro.perf.report import (report_requested, speedup_entry,
+                               write_bench_report)
 from repro.placement import PlacementConfig, place
 from repro.routing import GlobalRouter, RouterConfig, extract_maps
 from repro.train.metrics import evaluate_binary
@@ -266,8 +267,8 @@ BENCH_NN_PATH = os.path.join(os.path.dirname(__file__), "..",
                              "BENCH_nn.json")
 
 #: Entries accumulated by the dtype benches below; flushed to
-#: ``BENCH_nn.json`` once the module finishes (partial runs via ``-k``
-#: still record what they measured).
+#: ``BENCH_nn.json`` once the module finishes when ``REPRO_BENCH_REPORT=1``
+#: (partial runs via ``-k`` still record what they measured).
 _BENCH_ENTRIES: dict[str, dict] = {}
 _BENCH_PERF_OPS: dict = {}
 
@@ -275,7 +276,7 @@ _BENCH_PERF_OPS: dict = {}
 @pytest.fixture(scope="module", autouse=True)
 def _bench_nn_report():
     yield
-    if _BENCH_ENTRIES:
+    if _BENCH_ENTRIES and report_requested():
         write_bench_report(
             BENCH_NN_PATH, _BENCH_ENTRIES,
             perf_ops=_BENCH_PERF_OPS or None,

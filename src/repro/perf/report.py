@@ -24,7 +24,8 @@ from typing import Mapping
 __all__ = ["BENCH_SCHEMA", "SERVE_BENCH_SCHEMA", "STORE_BENCH_SCHEMA",
            "speedup_entry", "write_bench_report", "load_bench_report",
            "write_serve_bench_report", "load_serve_bench_report",
-           "write_store_bench_report", "load_store_bench_report"]
+           "write_store_bench_report", "load_store_bench_report",
+           "REPORT_ENV", "report_requested"]
 
 #: Schema tag of the report format; bump when the layout changes.
 BENCH_SCHEMA = "repro-bench-nn-v1"
@@ -36,6 +37,16 @@ SERVE_BENCH_SCHEMA = "repro-bench-serve-v1"
 #: Schema tag of the artifact-store report (``BENCH_store.json``):
 #: entries carry raw vs checksummed read timings and the overhead ratio.
 STORE_BENCH_SCHEMA = "repro-bench-store-v1"
+
+#: Benches write their tracked ``BENCH_*.json`` report only when this
+#: environment variable is ``1`` (the nightly CI job sets it), so a plain
+#: test run never rewrites a tracked file.
+REPORT_ENV = "REPRO_BENCH_REPORT"
+
+
+def report_requested() -> bool:
+    """Whether benches should write their ``BENCH_*.json`` report."""
+    return os.environ.get(REPORT_ENV) == "1"
 
 
 def speedup_entry(float32_s: float, float64_s: float,

@@ -215,6 +215,11 @@ class _GraphSpec(StageSpec):
         return {"max_gnet_fraction": config.max_gnet_fraction}
 
 
+# The vectorised bin density (placement) and flat-array A* (routing)
+# return the same bits and paths as their loop references, so products
+# cached before that rewrite stay valid and both versions stay 1
+# (pinned by tests/integration/test_stage_kernel_parity.py).  A kernel
+# change that moves density bits or A* paths must bump the version.
 PLACE_STAGE = _PlaceSpec("place", version=1)
 ROUTE_STAGE = _RouteSpec("route", version=1)
 GRAPH_STAGE = _GraphSpec("graph", version=1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..circuit.design import Design
+from .spreading import _bin_overlap_area
 
 __all__ = ["hpwl", "per_net_hpwl", "density_map", "density_overflow"]
 
@@ -35,30 +36,9 @@ def density_map(design: Design, bins_x: int, bins_y: int,
     so 1.0 means completely full.
     """
     xl, yl, xh, yh = design.die
-    bw = (xh - xl) / bins_x
-    bh = (yh - yl) / bins_y
-    density = np.zeros((bins_x, bins_y))
     mask = ~design.cell_fixed if movable_only else np.ones(design.num_cells, bool)
-    cx = design.cell_x[mask]
-    cy = design.cell_y[mask]
-    cw = design.cell_w[mask]
-    ch = design.cell_h[mask]
-    x0 = np.clip(((cx - xl) / bw).astype(int), 0, bins_x - 1)
-    x1 = np.clip(((cx + cw - xl) / bw).astype(int), 0, bins_x - 1)
-    y0 = np.clip(((cy - yl) / bh).astype(int), 0, bins_y - 1)
-    y1 = np.clip(((cy + ch - yl) / bh).astype(int), 0, bins_y - 1)
-    for i in range(len(cx)):
-        for bx in range(x0[i], x1[i] + 1):
-            ox = (min(cx[i] + cw[i], xl + (bx + 1) * bw)
-                  - max(cx[i], xl + bx * bw))
-            if ox <= 0:
-                continue
-            for by in range(y0[i], y1[i] + 1):
-                oy = (min(cy[i] + ch[i], yl + (by + 1) * bh)
-                      - max(cy[i], yl + by * bh))
-                if oy > 0:
-                    density[bx, by] += ox * oy
-    return density / (bw * bh)
+    area = _bin_overlap_area(design, mask, bins_x, bins_y)
+    return area / (((xh - xl) / bins_x) * ((yh - yl) / bins_y))
 
 
 def density_overflow(design: Design, bins_x: int = 16, bins_y: int = 16,

@@ -7,6 +7,20 @@ bin densities (with fixed macros as blockage), derive a displacement field
 pushing cells from over-full toward under-full bins, and move cells along
 it.  The placement driver alternates spreading with anchored quadratic
 re-solves.
+
+Bin density is the hot kernel (it runs once per diffusion step).
+:func:`_bin_overlap_area` evaluates it without a per-cell loop: every
+cell is expanded into its (cell, bin-x, bin-y) candidate triples in the
+loop's own order (``np.repeat`` over ``cumsum`` offsets), each overlap is
+computed with the same IEEE operations as the loop, and one
+``np.bincount`` per cell class adds the areas.  ``bincount`` accumulates
+in input order, so every bin receives the same float sum in the same
+order as the loop: the result is **bit-identical**, not merely close,
+which is why the place stage's cache ``version`` did not change.  The
+original per-cell loop is kept as :func:`_bin_overlap_area_reference`
+(wrapped by :func:`_compute_bin_density_reference`) and pinned with
+``np.array_equal`` by ``tests/placement/test_bin_density_exact.py``.
+:func:`repro.placement.hpwl.density_map` shares the same kernel.
 """
 
 from __future__ import annotations
@@ -39,30 +53,58 @@ class SpreadingConfig:
         self.iterations = iterations
 
 
-def compute_bin_density(design: Design, bins_x: int, bins_y: int) -> np.ndarray:
-    """Movable-area density per bin, normalised by *free* bin capacity.
+def _bin_overlap_area(design: Design, mask: np.ndarray,
+                      bins_x: int, bins_y: int) -> np.ndarray:
+    """Overlap area of the cells selected by ``mask`` with every bin.
 
-    Fixed-cell (macro) area is subtracted from each bin's capacity, so a
-    bin fully covered by a macro has effectively zero capacity and reports
-    very high density whenever any movable cell sits on it.
+    Cells are clipped to the die: the parts outside the bin grid are not
+    counted.  Bit-identical to :func:`_bin_overlap_area_reference`.
     """
     xl, yl, xh, yh = design.die
     bw = (xh - xl) / bins_x
     bh = (yh - yl) / bins_y
-    bin_area = bw * bh
+    lo_x = design.cell_x[mask]
+    lo_y = design.cell_y[mask]
+    hi_x = lo_x + design.cell_w[mask]
+    hi_y = lo_y + design.cell_h[mask]
+    x0 = np.clip((lo_x - xl) / bw, 0, bins_x - 1).astype(np.int64)
+    x1 = np.clip((hi_x - xl) / bw, 0, bins_x - 1).astype(np.int64)
+    y0 = np.clip((lo_y - yl) / bh, 0, bins_y - 1).astype(np.int64)
+    y1 = np.clip((hi_y - yl) / bh, 0, bins_y - 1).astype(np.int64)
+    span_y = np.maximum(y1 - y0 + 1, 0)
+    count = np.maximum(x1 - x0 + 1, 0) * span_y
+    # One row per (cell, bx, by) candidate, in the loop's cell → bx → by
+    # order: ``k`` is the row's offset inside its cell's block.
+    cell = np.repeat(np.arange(len(count)), count)
+    k = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
+    bx = x0[cell] + k // span_y[cell]
+    by = y0[cell] + k % span_y[cell]
+    ox = (np.minimum(hi_x[cell], xl + (bx + 1) * bw)
+          - np.maximum(lo_x[cell], xl + bx * bw))
+    oy = (np.minimum(hi_y[cell], yl + (by + 1) * bh)
+          - np.maximum(lo_y[cell], yl + by * bh))
+    keep = (ox > 0) & (oy > 0)
+    area = np.bincount((bx * bins_y + by)[keep], weights=(ox * oy)[keep],
+                       minlength=bins_x * bins_y)
+    return area.reshape(bins_x, bins_y)
 
-    movable_area = np.zeros((bins_x, bins_y))
-    blocked_area = np.zeros((bins_x, bins_y))
+
+def _bin_overlap_area_reference(design: Design, mask: np.ndarray,
+                                bins_x: int, bins_y: int) -> np.ndarray:
+    """Per-cell loop reference of :func:`_bin_overlap_area`."""
+    xl, yl, xh, yh = design.die
+    bw = (xh - xl) / bins_x
+    bh = (yh - yl) / bins_y
+    area = np.zeros((bins_x, bins_y))
     cx = design.cell_x
     cy = design.cell_y
     cw = design.cell_w
     ch = design.cell_h
-    for i in range(design.num_cells):
+    for i in np.flatnonzero(mask):
         x0 = int(np.clip((cx[i] - xl) / bw, 0, bins_x - 1))
         x1 = int(np.clip((cx[i] + cw[i] - xl) / bw, 0, bins_x - 1))
         y0 = int(np.clip((cy[i] - yl) / bh, 0, bins_y - 1))
         y1 = int(np.clip((cy[i] + ch[i] - yl) / bh, 0, bins_y - 1))
-        target = blocked_area if design.cell_fixed[i] else movable_area
         for bx in range(x0, x1 + 1):
             ox = min(cx[i] + cw[i], xl + (bx + 1) * bw) - max(cx[i], xl + bx * bw)
             if ox <= 0:
@@ -70,10 +112,34 @@ def compute_bin_density(design: Design, bins_x: int, bins_y: int) -> np.ndarray:
             for by in range(y0, y1 + 1):
                 oy = min(cy[i] + ch[i], yl + (by + 1) * bh) - max(cy[i], yl + by * bh)
                 if oy > 0:
-                    target[bx, by] += ox * oy
+                    area[bx, by] += ox * oy
+    return area
 
+
+def _bin_density(design: Design, bins_x: int, bins_y: int,
+                 overlap_area) -> np.ndarray:
+    xl, yl, xh, yh = design.die
+    bin_area = ((xh - xl) / bins_x) * ((yh - yl) / bins_y)
+    movable_area = overlap_area(design, ~design.cell_fixed, bins_x, bins_y)
+    blocked_area = overlap_area(design, design.cell_fixed, bins_x, bins_y)
     capacity = np.maximum(bin_area - blocked_area, 0.05 * bin_area)
     return movable_area / capacity
+
+
+def compute_bin_density(design: Design, bins_x: int, bins_y: int) -> np.ndarray:
+    """Movable-area density per bin, normalised by *free* bin capacity.
+
+    Fixed-cell (macro) area is subtracted from each bin's capacity, so a
+    bin fully covered by a macro has effectively zero capacity and reports
+    very high density whenever any movable cell sits on it.
+    """
+    return _bin_density(design, bins_x, bins_y, _bin_overlap_area)
+
+
+def _compute_bin_density_reference(design: Design, bins_x: int,
+                                   bins_y: int) -> np.ndarray:
+    """Loop reference of :func:`compute_bin_density` (bit-identical)."""
+    return _bin_density(design, bins_x, bins_y, _bin_overlap_area_reference)
 
 
 def spread_step(design: Design, config: SpreadingConfig,

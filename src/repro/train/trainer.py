@@ -170,12 +170,18 @@ def _crop_pairs(image: np.ndarray, label: np.ndarray, crop: int | None):
 
 def _predict_tiled(forward, image: np.ndarray, out_channels: int,
                    crop: int | None) -> np.ndarray:
-    """Run ``forward`` per tile and stitch an NCHW probability map."""
+    """Run ``forward`` per tile and stitch an NCHW probability map.
+
+    The map is allocated in the forward output's dtype, so float32
+    models stay float32 end to end.
+    """
     n, _, h, w = image.shape
-    out = np.zeros((n, out_channels, h, w))
+    out = None
     for y0, x0, ch, cw in _tiles(h, w, crop):
-        tile = Tensor(image[:, :, y0:y0 + ch, x0:x0 + cw])
-        out[:, :, y0:y0 + ch, x0:x0 + cw] = forward(tile).data
+        prob = forward(Tensor(image[:, :, y0:y0 + ch, x0:x0 + cw])).data
+        if out is None:
+            out = np.zeros((n, out_channels, h, w), dtype=prob.dtype)
+        out[:, :, y0:y0 + ch, x0:x0 + cw] = prob
     return out
 
 

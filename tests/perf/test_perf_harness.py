@@ -13,8 +13,9 @@ import pytest
 
 from repro import perf
 from repro.nn import Adam, Parameter, SparseMatrix, Tensor, spmm
-from repro.perf.report import (BENCH_SCHEMA, load_bench_report,
-                               speedup_entry, write_bench_report)
+from repro.perf.report import (BENCH_SCHEMA, REPORT_ENV, load_bench_report,
+                               report_requested, speedup_entry,
+                               write_bench_report)
 
 
 @pytest.fixture(autouse=True)
@@ -108,6 +109,15 @@ class TestBenchReporter:
         # The artifact must be plain parseable JSON for CI tooling.
         with open(path) as handle:
             assert json.load(handle)["entries"]
+
+    def test_reports_written_only_on_request(self, monkeypatch):
+        # Tracked BENCH_*.json files must not change under a plain run.
+        monkeypatch.delenv(REPORT_ENV, raising=False)
+        assert not report_requested()
+        monkeypatch.setenv(REPORT_ENV, "0")
+        assert not report_requested()
+        monkeypatch.setenv(REPORT_ENV, "1")
+        assert report_requested()
 
     def test_empty_entries_rejected(self, tmp_path):
         with pytest.raises(ValueError):

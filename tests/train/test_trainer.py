@@ -5,9 +5,12 @@ import pytest
 
 from repro.data import CongestionDataset
 from repro.models.lhnn import LHNNConfig
+from repro.models.unet import UNet
+from repro.nn import DtypeConfig, Tensor, no_grad
 from repro.train import (TrainConfig, evaluate_lhnn, evaluate_mlp,
                          evaluate_pix2pix, evaluate_unet, seeded_runs,
                          train_lhnn, train_mlp, train_pix2pix, train_unet)
+from repro.train.trainer import _predict_tiled
 
 
 @pytest.fixture(scope="module")
@@ -167,3 +170,23 @@ class TestSeededRuns:
         summary = seeded_runs(fake_run, [0, 2])
         assert summary.f1_mean == pytest.approx(41.0)
         assert summary.f1_std == pytest.approx(1.0)
+
+
+class TestPredictTiled:
+    """Tile stitching keeps the forward pass's dtype and values."""
+
+    @pytest.mark.parametrize("crop", [None, 8])
+    def test_float32_unet_probabilities_stay_float32(self, crop):
+        with DtypeConfig(np.float32):
+            model = UNet(in_channels=3, out_channels=2, base_width=4,
+                         rng=np.random.default_rng(0))
+            image = np.random.default_rng(1).random(
+                (1, 3, 16, 12)).astype(np.float32)
+            with no_grad():
+                prob = _predict_tiled(model, image, 2, crop)
+                whole = model(Tensor(image)).data
+        assert prob.dtype == np.float32
+        assert prob.shape == (1, 2, 16, 12)
+        if crop is None:
+            assert np.array_equal(prob, whole)
+        assert np.all((prob >= 0) & (prob <= 1))
