@@ -10,16 +10,27 @@ can be trained on the same numpy autograd engine as LHNN, replacing the
 
 Performance notes
 -----------------
-* The im2col/col2im index plans depend only on ``(channels, H, W,
-  kernel, stride, pad)``; they are memoised (:func:`_patch_indices` /
-  :func:`_scatter_plan`), so repeated forward *and* backward calls at a
-  fixed geometry — every step of U-Net/Pix2Pix training — stop
-  rebuilding the gather/scatter index arrays.
-* :func:`col2im`'s scatter-add runs as a ``np.bincount`` over a cached
-  raveled index plan instead of ``np.add.at`` (which dispatches per
-  element); on CPU this is typically ~5–10× faster.  The bincount
-  accumulates in float64 and is cast back to the compute dtype — a free
-  accuracy bonus for float32 backward passes.
+* :func:`im2col` copies the (zero-padded) input once out of a read-only
+  ``as_strided`` view of every patch — no index arrays, no ``np.pad``.
+  The copy lands in the memory layout of the fancy-index gather it
+  replaces (batch axis innermost), so the ``einsum`` weight gradients
+  downstream sum in the same order at every batch size.
+* :func:`col2im` scatter-adds with ``kh * kw`` strided slice-adds into a
+  float64 accumulator, kernel row ``i`` outer and column ``j`` inner.
+  That is the per-pixel addition order of the ``np.bincount`` scatter it
+  replaces, from the same +0.0 start, and the sum is cast back to the
+  compute dtype as before — a free accuracy bonus for float32 backward
+  passes.  Unlike the bincount it streams no cached index plan.  When
+  the patches tile the padded image exactly (``stride == kh == kw``:
+  U-Net's 2×2 up-convolutions and every 1×1 conv) each pixel receives
+  one term, so the scatter is a transpose plus ``+ 0``; the ``+ 0``
+  turns −0.0 into +0.0 as the float64 sum did.
+* Both kernels are byte-exact rewrites: same shape, dtype, memory layout
+  and bits (sign of zero included) as the private references
+  :func:`_im2col_reference` / :func:`_col2im_reference`, which
+  ``tests/nn/test_conv_exact.py`` checks them against.  The memoised
+  index plans :func:`_patch_indices` / :func:`_scatter_plan` now back
+  only those references.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from functools import lru_cache
 from time import perf_counter as _perf_counter
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..perf import PERF
 from . import init as init_mod
@@ -81,21 +93,18 @@ def _scatter_plan(channels: int, height: int, width: int, kh: int, kw: int,
     return flat, padded_h, padded_w
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Extract sliding patches: (N,C,H,W) → (N, C*kh*kw, out_h*out_w)."""
+def _im2col_reference(x: np.ndarray, kh: int, kw: int, stride: int,
+                      pad: int) -> np.ndarray:
+    """Fancy-index gather :func:`im2col` is checked against."""
     n, c, h, w = x.shape
     x_pad = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     k, i, j, _, _ = _patch_indices(c, h, w, kh, kw, stride, pad)
     return x_pad[:, k, i, j]
 
 
-def col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int],
-           kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Inverse of :func:`im2col`: scatter-add patches back into an image.
-
-    Implemented as one ``np.bincount`` per batch image over a cached
-    raveled index plan (see module performance notes).
-    """
+def _col2im_reference(cols: np.ndarray, x_shape: tuple[int, int, int, int],
+                      kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """Per-image ``np.bincount`` scatter :func:`col2im` is checked against."""
     n, c, h, w = x_shape
     flat, padded_h, padded_w = _scatter_plan(c, h, w, kh, kw, stride, pad)
     size = c * padded_h * padded_w
@@ -108,6 +117,60 @@ def col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int],
     if pad:
         return np.ascontiguousarray(x_pad[:, :, pad:-pad, pad:-pad])
     return x_pad
+
+
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """Extract sliding patches: (N,C,H,W) → (N, C*kh*kw, out_h*out_w)."""
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kh, stride, pad)
+    out_w = conv_output_size(w, kw, stride, pad)
+    if pad:
+        x_pad = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        x_pad[:, :, pad:pad + h, pad:pad + w] = x
+    else:
+        x_pad = x
+    # Every patch as a read-only view with axes (C, kh, kw, out_h, out_w,
+    # N); conv_output_size keeps the last window inside x_pad.  Its C-order
+    # copy has the reference gather's memory layout.
+    sn, sc, sh, sw = x_pad.strides
+    windows = as_strided(x_pad, (c, kh, kw, out_h, out_w, n),
+                         (sc, sh, sw, stride * sh, stride * sw, sn),
+                         writeable=False)
+    cols = windows.copy().reshape(c * kh * kw, out_h * out_w, n)
+    return cols.transpose(2, 0, 1)
+
+
+def col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int],
+           kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """Inverse of :func:`im2col`: scatter-add patches back into an image.
+
+    Byte-exact with the bincount reference (see module performance notes).
+    """
+    n, c, h, w = x_shape
+    out_h = conv_output_size(h, kh, stride, pad)
+    out_w = conv_output_size(w, kw, stride, pad)
+    padded_h, padded_w = h + 2 * pad, w + 2 * pad
+    patches = cols.reshape(n, c, kh, kw, out_h, out_w)
+    if (stride == kh == kw
+            and (padded_h, padded_w) == (out_h * kh, out_w * kw)):
+        # One term per pixel; ``+ 0`` maps −0.0 to +0.0 as the float64
+        # sum from +0.0 does.  Reading cols in order (writing through the
+        # transposed view) keeps the inner loop along out_w.
+        x_pad = np.empty((n, c, out_h, kh, out_w, kw), dtype=cols.dtype)
+        np.add(patches, 0, out=x_pad.transpose(0, 1, 3, 5, 2, 4))
+        x_pad = x_pad.reshape(n, c, padded_h, padded_w)
+        if pad:
+            return np.ascontiguousarray(x_pad[:, :, pad:-pad, pad:-pad])
+        return x_pad
+    # Kernel row i outer, column j inner: each pixel receives its terms in
+    # the bincount's order, into the same float64 +0.0 start.
+    acc = np.zeros((n, c, padded_h, padded_w))
+    for i in range(kh):
+        for j in range(kw):
+            window = acc[:, :, i:i + stride * out_h:stride,
+                         j:j + stride * out_w:stride]
+            np.add(window, patches[:, :, i, j], out=window)
+    return acc[:, :, pad:pad + h, pad:pad + w].astype(cols.dtype)
 
 
 class Conv2d(Module):
@@ -194,22 +257,30 @@ class ConvTranspose2d(Module):
         out_w = stride * (w - 1) + k - 2 * pad
         out_shape = (n, self.out_channels, out_h, out_w)
 
+        t0 = _perf_counter() if PERF.enabled else 0.0
         x2d = x.data.reshape(n, c, h * w)                    # (N, in_c, L)
         w2d = self.weight.data.reshape(c, -1)                # (in_c, out_c*k*k)
         cols = np.matmul(w2d.T, x2d)                         # (N, out_c*k*k, L)
         out = col2im(cols, out_shape, k, k, stride, pad)
         if self.bias is not None:
             out = out + self.bias.data.reshape(1, -1, 1, 1)
+        if PERF.enabled:
+            PERF.record("conv_transpose2d.forward", _perf_counter() - t0,
+                        out.nbytes + cols.nbytes)
 
         weight, bias_param = self.weight, self.bias
 
         def backward(g):
+            t0 = _perf_counter() if PERF.enabled else 0.0
             g_cols = im2col(g, k, k, stride, pad)            # (N, out_c*k*k, L)
             grad_x = np.matmul(w2d, g_cols).reshape(n, c, h, w)
             grad_w = np.einsum("nil,nkl->ik", x2d, g_cols).reshape(weight.shape)
             grads = [grad_x, grad_w]
             if bias_param is not None:
                 grads.append(g.sum(axis=(0, 2, 3)))
+            if PERF.enabled:
+                PERF.record("conv_transpose2d.backward", _perf_counter() - t0,
+                            grad_x.nbytes + grad_w.nbytes)
             return tuple(grads)
 
         parents = (x, weight) if self.bias is None else (x, weight, self.bias)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro import perf
-from repro.nn import Adam, Parameter, SparseMatrix, Tensor, spmm
+from repro.nn import (Adam, ConvTranspose2d, Parameter, SparseMatrix, Tensor,
+                      spmm)
 from repro.perf.report import (BENCH_SCHEMA, REPORT_ENV, load_bench_report,
                                report_requested, speedup_entry,
                                write_bench_report)
@@ -69,6 +70,20 @@ class TestRegistry:
         assert "spmm.backward" in ops
         assert "autograd.backward" in ops
         assert "optimizer.step" in ops
+
+    def test_conv_transpose_reports_when_enabled(self):
+        up = ConvTranspose2d(2, 1, 2, np.random.default_rng(0), stride=2)
+        x = Tensor(np.ones((1, 2, 3, 3)), requires_grad=True)
+        up(x).sum().backward()
+        assert perf.perf_report()["ops"] == {}
+        perf.enable()
+        up(x).sum().backward()
+        ops = perf.perf_report()["ops"]
+        assert ops["conv_transpose2d.forward"]["calls"] == 1
+        assert ops["conv_transpose2d.backward"]["calls"] == 1
+        assert ops["conv_transpose2d.forward"]["bytes_allocated"] > 0
+        # The decoder keeps its own names: nn.conv2d_s counts Conv2d only.
+        assert not any(name.startswith("conv2d.") for name in ops)
 
     def test_measure_returns_time_and_peak(self):
         m = perf.measure(lambda: np.zeros(1 << 16))
