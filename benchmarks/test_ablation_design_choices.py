@@ -13,8 +13,7 @@ DESIGN.md calls out three implementation choices worth quantifying:
 import numpy as np
 import pytest
 
-from repro.models.lhnn import LHNNConfig
-from repro.train import TrainConfig, evaluate_lhnn, train_lhnn
+from repro.train import TrainConfig, evaluate, fit
 
 from conftest import save_artifact
 
@@ -34,8 +33,8 @@ def _mean_f1(dataset, seeds, epochs, gamma=0.7, hidden=32,
     for seed in range(seeds):
         cfg = TrainConfig(epochs=epochs, seed=seed, gamma=gamma,
                           use_sampling=use_sampling)
-        model = train_lhnn(tr, cfg, LHNNConfig(hidden=hidden))
-        f1s.append(evaluate_lhnn(model, te)["f1"])
+        model = fit("lhnn", tr, cfg, {"hidden": hidden})
+        f1s.append(evaluate(model, te, cfg)["f1"])
     return float(np.mean(f1s))
 
 

@@ -16,10 +16,8 @@ import os
 import numpy as np
 
 from repro.eval import comparison_panel, write_pgm
-from repro.models.lhnn import LHNNConfig
 from repro.nn import Tensor, no_grad
-from repro.train import TrainConfig, train_lhnn, train_unet
-from repro.train.trainer import _predict_tiled
+from repro.train import TrainConfig, fit, predict_probs
 
 from conftest import save_artifact
 
@@ -27,9 +25,8 @@ from conftest import save_artifact
 def _train_models(dataset, epochs):
     tr = dataset.train_samples()
     crop = dataset.graphs[0].nx // 2
-    lhnn = train_lhnn(tr, TrainConfig(epochs=epochs, seed=0),
-                      LHNNConfig(channels=1))
-    unet = train_unet(tr, TrainConfig(epochs=epochs, seed=0, crop=crop))
+    lhnn = fit("lhnn", tr, TrainConfig(epochs=epochs, seed=0), {"channels": 1})
+    unet = fit("unet", tr, TrainConfig(epochs=epochs, seed=0, crop=crop))
     return lhnn, unet, crop
 
 
@@ -52,8 +49,7 @@ def test_fig4_visualization(dataset_uni, num_epochs, artifacts_dir, benchmark):
             out = lhnn(g, vc=Tensor(sample.features),
                        vn=Tensor(sample.net_features))
             lhnn_map = g.map_to_grid(out.cls_prob.data[:, 0])
-            unet_prob = _predict_tiled(unet, sample.image, 1, crop)
-            unet_map = unet_prob[0, 0]
+            unet_map = g.map_to_grid(predict_probs(unet, sample, crop)[:, 0])
             truth = g.map_to_grid(sample.cls_target[:, 0])
             true_rate = float(truth.mean())
             panels.append(comparison_panel(

@@ -19,12 +19,10 @@ import pytest
 from repro.circuit import (build_cell_graph, cell_features, cells_to_gcells,
                            superblue_suite)
 from repro.models import CongestionNet, EdgeList
-from repro.models.lhnn import LHNNConfig
 from repro.nn import Adam, GammaWeightedBCE, Tensor, clip_grad_norm, no_grad
 from repro.placement import place
 from repro.routing import GlobalRouter, RouterConfig, extract_maps
-from repro.train import (TrainConfig, evaluate_binary, evaluate_gridsage,
-                         evaluate_lhnn, train_gridsage, train_lhnn)
+from repro.train import TrainConfig, evaluate, evaluate_binary, fit
 from repro.train.metrics import summarize_runs
 
 from conftest import env_float, save_artifact
@@ -128,9 +126,9 @@ def test_gridsage_lattice(dataset_uni, num_seeds, num_epochs, benchmark):
     def run():
         per_seed = []
         for seed in range(num_seeds):
-            model = train_gridsage(tr, TrainConfig(epochs=num_epochs,
-                                                   seed=seed))
-            per_seed.append(evaluate_gridsage(model, te))
+            cfg = TrainConfig(epochs=num_epochs, seed=seed)
+            model = fit("gridsage", tr, cfg)
+            per_seed.append(evaluate(model, te, cfg))
         return summarize_runs(per_seed)
 
     summary = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -145,9 +143,9 @@ def test_lhnn_reference(dataset_uni, num_seeds, num_epochs, benchmark):
     def run():
         per_seed = []
         for seed in range(num_seeds):
-            model = train_lhnn(tr, TrainConfig(epochs=num_epochs, seed=seed),
-                               LHNNConfig(channels=1))
-            per_seed.append(evaluate_lhnn(model, te))
+            cfg = TrainConfig(epochs=num_epochs, seed=seed)
+            model = fit("lhnn", tr, cfg, {"channels": 1})
+            per_seed.append(evaluate(model, te, cfg))
         return summarize_runs(per_seed)
 
     summary = benchmark.pedantic(run, rounds=1, iterations=1)

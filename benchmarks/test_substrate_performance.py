@@ -31,7 +31,7 @@ import pytest
 from repro import perf
 from repro.circuit import DesignSpec, generate_design
 from repro.data.dataset import collate_samples, sample_of
-from repro.graph import BatchCache, build_lhgraph, sampled_operators
+from repro.graph import batch_graphs, build_lhgraph, sampled_operators
 from repro.models.lhnn import LHNN, LHNNConfig
 from repro.nn import DtypeConfig, SparseMatrix, Tensor, no_grad, spmm
 from repro.nn.conv import Conv2d
@@ -175,21 +175,15 @@ def test_bench_train_epoch_per_design(bench_graph_suite, benchmark):
 
 def test_bench_train_epoch_batched(bench_graph_suite, benchmark):
     """One block-diagonal step over the same designs; must beat the
-    per-design epoch above (fewer, larger sparse matmuls + cached
-    composition)."""
+    per-design epoch above (fewer, larger sparse matmuls; the composition
+    is built once, as the trainer does before its first epoch)."""
     model = LHNN(LHNNConfig(), np.random.default_rng(0))
     opt = Adam(model.parameters(), lr=2e-3 * len(bench_graph_suite))
     loss_fn = JointLoss()
-    cache = BatchCache()
-    cache.get(bench_graph_suite)  # steady-state: composition pre-cached
+    batch = batch_graphs(bench_graph_suite)
 
-    def epoch():
-        return _train_step(model, opt, loss_fn,
-                           cache.get(bench_graph_suite))
-
-    loss = benchmark(epoch)
+    loss = benchmark(_train_step, model, opt, loss_fn, batch)
     assert np.isfinite(loss.item())
-    assert cache.misses == 1  # every benched epoch reused the composition
 
 
 def test_bench_neighbor_sampling(bench_graph, benchmark):

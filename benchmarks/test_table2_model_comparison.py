@@ -18,10 +18,7 @@ import numpy as np
 import pytest
 
 from repro.eval import format_table2
-from repro.models.lhnn import LHNNConfig
-from repro.train import (TrainConfig, evaluate_lhnn, evaluate_mlp,
-                         evaluate_pix2pix, evaluate_unet, seeded_runs,
-                         train_lhnn, train_mlp, train_pix2pix, train_unet)
+from repro.train import TrainConfig, evaluate, fit, seeded_runs
 
 from conftest import save_artifact
 
@@ -39,19 +36,8 @@ def _run_model(model_name, dataset, channels, seeds, epochs):
 
     def one_seed(seed):
         cfg = TrainConfig(epochs=epochs, seed=seed, crop=crop)
-        if model_name == "lhnn":
-            model = train_lhnn(tr, cfg, LHNNConfig(channels=channels))
-            return evaluate_lhnn(model, te)
-        if model_name == "mlp":
-            model = train_mlp(tr, cfg, channels=channels)
-            return evaluate_mlp(model, te)
-        if model_name == "unet":
-            model = train_unet(tr, cfg, channels=channels)
-            return evaluate_unet(model, te, crop=crop)
-        if model_name == "pix2pix":
-            model = train_pix2pix(tr, cfg, channels=channels)
-            return evaluate_pix2pix(model, te, crop=crop)
-        raise ValueError(model_name)
+        model = fit(model_name, tr, cfg, {"channels": channels})
+        return evaluate(model, te, cfg)
 
     return seeded_runs(one_seed, list(range(seeds)))
 

@@ -19,8 +19,7 @@ import pytest
 
 from repro.data import CongestionDataset
 from repro.eval import format_table3
-from repro.models.lhnn import LHNNConfig
-from repro.train import TrainConfig, evaluate_lhnn, train_lhnn
+from repro.train import TrainConfig, evaluate, fit
 
 from conftest import save_artifact
 
@@ -48,9 +47,9 @@ def _run_ablation(name, flags, suite_graphs, seeds, epochs):
     te = dataset.test_samples()
     f1s = []
     for seed in range(seeds):
-        model = train_lhnn(tr, TrainConfig(epochs=epochs, seed=seed),
-                           LHNNConfig(channels=1, **flags))
-        f1s.append(evaluate_lhnn(model, te)["f1"])
+        cfg = TrainConfig(epochs=epochs, seed=seed)
+        model = fit("lhnn", tr, cfg, {"channels": 1, **flags})
+        f1s.append(evaluate(model, te, cfg)["f1"])
     return float(np.mean(f1s))
 
 

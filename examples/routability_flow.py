@@ -26,10 +26,9 @@ import numpy as np
 from repro.data import CongestionDataset
 from repro.eval import comparison_panel
 from repro.features import compute_gnets, rudy_map
-from repro.models.lhnn import LHNNConfig
 from repro.nn import Tensor, no_grad
 from repro.pipeline import PipelineConfig, prepare_suite
-from repro.train import TrainConfig, f1_score, train_lhnn
+from repro.train import TrainConfig, f1_score, fit
 from repro.train.metrics import evaluate_binary
 
 
@@ -52,8 +51,8 @@ def main() -> None:
                      if i != target_idx]
     print("\n== training LHNN on the remaining 14 designs ==")
     t0 = time.time()
-    model = train_lhnn(train_samples, TrainConfig(epochs=20, seed=0),
-                       LHNNConfig(channels=1))
+    model = fit("lhnn", train_samples, TrainConfig(epochs=20, seed=0),
+                {"channels": 1})
     print(f"   {time.time() - t0:.1f} s")
 
     # ---- oracle 1: the global router (ground truth, slow) ---------------

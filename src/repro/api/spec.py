@@ -258,6 +258,9 @@ def _validate(spec: ExperimentSpec) -> ExperimentSpec:
                         ("workload.workers", spec.workload.workers)):
         if value < 1:
             raise SpecError(f"{name} must be >= 1, got {value}")
+    if spec.train.crop is not None and spec.train.crop < 1:
+        raise SpecError(f"train.crop must be >= 1 or null, "
+                        f"got {spec.train.crop}")
     if spec.workload.count is not None and spec.workload.count < 1:
         raise SpecError(f"workload.count must be >= 1, "
                         f"got {spec.workload.count}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.batch import BatchCache, batch_graphs
+from ..graph.batch import batch_graphs
 from ..graph.lhgraph import LHGraph
 from ..nn.tensor import get_default_dtype
 from .splits import SplitResult, select_balanced_split
@@ -116,8 +116,20 @@ def _cat(arrays: list) -> np.ndarray | None:
     return np.concatenate(arrays, axis=0)
 
 
-def _collate(samples: list[GraphSample]) -> GraphSample:
-    """Build the batched GraphSample (see :func:`collate_samples`)."""
+def collate_samples(samples: list[GraphSample]) -> GraphSample:
+    """Compose several samples into one over their block-diagonal graph.
+
+    Per-design standardised features, net features and labels are stacked
+    in design order — exactly the node order of
+    :func:`repro.graph.batch.batch_graphs` — so the result trains/evaluates
+    with one forward pass; split predictions back per design with
+    :func:`repro.graph.batch.unbatch_values`.  A single sample passes
+    through untouched.
+    """
+    if not samples:
+        raise ValueError("cannot collate zero samples")
+    if len(samples) == 1:
+        return samples[0]
     batched = batch_graphs([s.graph for s in samples])
     features = np.concatenate([s.features for s in samples], axis=0)
     net_features = np.concatenate([s.net_features for s in samples], axis=0)
@@ -135,29 +147,6 @@ def _collate(samples: list[GraphSample]) -> GraphSample:
         cls_image=_as_image(cls_target, nx, ny),
         reg_image=_as_image(reg_target, nx, ny),
     )
-
-
-def collate_samples(samples: list[GraphSample],
-                    cache: BatchCache | None = None) -> GraphSample:
-    """Compose several samples into one over their block-diagonal graph.
-
-    Per-design standardised features, net features and labels are stacked
-    in design order — exactly the node order of
-    :func:`repro.graph.batch.batch_graphs` — so the result trains/evaluates
-    with one forward pass; split predictions back per design with
-    :func:`repro.graph.batch.unbatch_values`.  A single sample passes
-    through untouched.  When ``cache`` is given, the collated sample
-    (graph composition *and* concatenated arrays) is memoised on the batch
-    membership, which makes repeated epochs over fixed mini-batches free of
-    re-collation cost.
-    """
-    if not samples:
-        raise ValueError("cannot collate zero samples")
-    if len(samples) == 1:
-        return samples[0]
-    if cache is not None:
-        return cache.get(samples, builder=_collate)
-    return _collate(samples)
 
 
 class CongestionDataset:

@@ -29,23 +29,11 @@ def per_design_report(model, samples: list[GraphSample],
     :func:`repro.train.trainer.predict_probs`.  ``crop`` makes the CNN
     families (U-Net, Pix2Pix) predict tile-by-tile exactly as they
     trained — pass the checkpoint's ``train.crop`` so this report agrees
-    with the runtime evaluator's metrics.
+    with :func:`repro.train.evaluate`.
     """
     if predict is None:
-        from ..train.trainer import _predict_tiled, predict_probs
-        from ..models.pix2pix import Pix2Pix
-        from ..models.unet import UNet
-        if crop is not None and isinstance(model, (UNet, Pix2Pix)):
-            forward = (model.generator if isinstance(model, Pix2Pix)
-                       else model)
-
-            def predict(s):
-                prob = _predict_tiled(forward, s.image,
-                                      s.cls_target.shape[1], crop)
-                return prob[0].transpose(1, 2, 0).reshape(
-                    -1, prob.shape[1])
-        else:
-            predict = lambda s: predict_probs(model, s)  # noqa: E731
+        from ..train.trainer import predict_probs
+        predict = lambda s: predict_probs(model, s, crop)  # noqa: E731
     rows = []
     if hasattr(model, "eval"):
         model.eval()

@@ -9,12 +9,12 @@ from .hetero import HeteroGraph
 from .lhgraph import (LHGraph, build_lattice_adjacency,
                       build_hypergraph_incidence, build_lhgraph)
 from .sampling import sample_neighbors, sampled_operators
-from .batch import batch_graphs, unbatch_values, plan_batches, BatchCache
+from .batch import batch_graphs, unbatch_values, plan_batches
 
 __all__ = [
     "HeteroGraph",
     "LHGraph", "build_lattice_adjacency", "build_hypergraph_incidence",
     "build_lhgraph",
     "sample_neighbors", "sampled_operators",
-    "batch_graphs", "unbatch_values", "plan_batches", "BatchCache",
+    "batch_graphs", "unbatch_values", "plan_batches",
 ]

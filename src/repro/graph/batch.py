@@ -8,24 +8,19 @@ matrix, and labels are stacked, so one LHNN forward pass covers several
 designs (fewer, larger sparse matmuls — faster on CPU too).
 
 :func:`unbatch_values` splits per-node results back out per design, for
-both per-G-cell and per-G-net arrays.  :class:`BatchCache` memoises
-compositions by batch membership so repeated epochs over fixed mini-batches
-reuse the block-diagonal CSR matrices instead of rebuilding them every
-optimizer step; the training loop in :mod:`repro.train.trainer` holds one
-cache per run.
+both per-G-cell and per-G-net arrays.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable
 
 import numpy as np
 
 from ..nn.sparse import block_diag
 from .lhgraph import LHGraph
 
-__all__ = ["batch_graphs", "unbatch_values", "plan_batches", "BatchCache"]
+__all__ = ["batch_graphs", "unbatch_values", "plan_batches"]
 
 
 def batch_graphs(graphs: list[LHGraph]) -> LHGraph:
@@ -136,46 +131,3 @@ def plan_batches(graphs: list[LHGraph],
         for start in range(0, len(members), max_batch):
             groups.append(members[start:start + max_batch])
     return groups
-
-
-class BatchCache:
-    """LRU memo for block-diagonal compositions keyed by batch membership.
-
-    Rebuilding the batched CSR operators is the dominant fixed cost of a
-    batched training step; with fixed mini-batch membership (the trainer
-    shuffles batch *order* per epoch, not membership) every epoch after the
-    first hits this cache.  Keys are the ``id()`` tuples of the member
-    objects, so a cache must not outlive the graphs it memoises — hold one
-    per training run.
-    """
-
-    def __init__(self, max_entries: int = 64):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self._entries: OrderedDict[tuple, object] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, members: list, builder: Callable = batch_graphs):
-        """Return ``builder(members)``, memoised on the members' identity."""
-        key = tuple(id(m) for m in members)
-        if key in self._entries:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return self._entries[key]
-        self.misses += 1
-        value = builder(members)
-        self._entries[key] = value
-        if len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-        return value
-
-    def clear(self) -> None:
-        """Drop all memoised compositions and reset the hit counters."""
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0

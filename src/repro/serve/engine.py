@@ -179,14 +179,12 @@ class InferenceEngine:
         # Steady-state serving answers the same warm designs over and
         # over (e.g. a placement loop polling its candidates); memoising
         # the block-diagonal compositions by batch membership makes a
-        # repeat flush pure forward-pass work, exactly like the training
-        # loop's per-run cache.  Unlike the trainer's id()-keyed
-        # BatchCache (whose contract requires the members to outlive the
-        # cache), serving samples are transient — LRU-evicted, or never
-        # cached at all for graph= requests — so compositions are keyed
-        # by the members' *content-addressed* graph stage keys: same key
-        # tuple ⇒ same content ⇒ the memoised collation is valid even
-        # after the original sample objects are gone.
+        # repeat flush pure forward-pass work.  Serving samples are
+        # transient — LRU-evicted, or never cached at all for graph=
+        # requests — so compositions are keyed by the members'
+        # *content-addressed* graph stage keys: same key tuple ⇒ same
+        # content ⇒ the memoised collation is valid even after the
+        # original sample objects are gone.
         self._collated: OrderedDict[tuple, GraphSample] = OrderedDict()
         self._collated_hits = 0
         self._collated_misses = 0

@@ -70,13 +70,15 @@ class ModelFamily:
     * ``evaluator(model, samples, train_config) -> {"f1", "acc"}`` — the
       held-out metric loop (reads ``threshold`` / ``batch_size`` /
       ``crop`` off the train config),
-    * ``default_config`` — the default ``model_config`` entries merged
-      under the caller's overrides.
+    * ``default_config`` — the family's knob defaults, merged under the
+      caller's overrides; the only place those defaults are declared.
 
-    The runtimes live in :mod:`repro.train.trainer` and are attached via
-    :func:`attach_runtime` when that module is imported;
-    :func:`get_runtime` triggers the import lazily, so this module keeps
-    its light import footprint for restore-only callers.
+    For the built-in families :mod:`repro.train.trainer` attaches
+    ``trainer = partial(fit, name)`` and ``evaluator = evaluate`` (one
+    loop and one evaluator for all of them) via :func:`attach_runtime`
+    when it is imported; :func:`get_runtime` triggers the import lazily,
+    so this module keeps its light import footprint for restore-only
+    callers.
     """
 
     name: str
@@ -113,8 +115,8 @@ def attach_runtime(name: str, *, trainer: Callable, evaluator: Callable,
     """Attach the experiment runtime to an already-registered family.
 
     Keeps registration in two layers on purpose: the architecture spec
-    (constructor ↔ config) lives here, the training loops live in
-    :mod:`repro.train.trainer` and attach themselves on import, so
+    (constructor ↔ config) lives here, the training loop lives in
+    :mod:`repro.train.trainer` and attaches itself on import, so
     neither module needs the other at import time.
     """
     family = dataclasses.replace(

@@ -5,16 +5,11 @@ from .history import TrainingHistory
 from .metrics import (ConfusionCounts, confusion, precision, recall,
                       f1_score, accuracy, evaluate_binary, MetricSummary,
                       summarize_runs)
-from .trainer import (train_lhnn, evaluate_lhnn, train_mlp, evaluate_mlp,
-                      train_unet, evaluate_unet, train_pix2pix,
-                      evaluate_pix2pix, train_gridsage, evaluate_gridsage,
-                      predict_probs, seeded_runs)
+from .trainer import fit, evaluate, predict_probs, seeded_runs
 
 __all__ = [
     "TrainConfig", "TrainingHistory",
     "ConfusionCounts", "confusion", "precision", "recall", "f1_score",
     "accuracy", "evaluate_binary", "MetricSummary", "summarize_runs",
-    "train_lhnn", "evaluate_lhnn", "train_mlp", "evaluate_mlp",
-    "train_unet", "evaluate_unet", "train_pix2pix", "evaluate_pix2pix",
-    "train_gridsage", "evaluate_gridsage", "predict_probs", "seeded_runs",
+    "fit", "evaluate", "predict_probs", "seeded_runs",
 ]

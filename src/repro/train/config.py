@@ -21,9 +21,8 @@ class TrainConfig:
     per optimizer step (DGL-style mini-batching via
     :func:`repro.graph.batch.batch_graphs`); 1 reproduces the per-design
     loop.  Batch membership is drawn once per run and kept fixed across
-    epochs (only the visit order is reshuffled), so the trainer's
-    :class:`repro.graph.batch.BatchCache` reuses every composition after
-    the first epoch.  Because a batch of B designs collapses B optimizer
+    epochs (only the visit order is reshuffled), so every composition is
+    built once per run.  Because a batch of B designs collapses B optimizer
     steps into one averaged step, ``scale_lr_with_batch`` applies the
     linear scaling rule — each step runs at the scheduled lr times the
     number of designs actually in that batch (a ragged last batch scales

@@ -1,7 +1,6 @@
 """`run_experiment`: the five-family smoke matrix and its artifacts."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -68,40 +67,18 @@ class TestFiveFamilyMatrix:
         assert manifest["workload"]["dataset_injected"] is True
 
 
-class TestLegacyParity:
-    """run_experiment must reproduce the legacy call-paths exactly."""
+class TestDirectParity:
+    """run_experiment must equal a direct fit + evaluate call exactly."""
 
-    def test_lhnn_matches_train_lhnn(self, dataset, tmp_path):
-        from repro.models.lhnn import LHNNConfig
-        from repro.train import TrainConfig, evaluate_lhnn, train_lhnn
-        result = run_experiment(tiny_spec("lhnn", tmp_path),
+    @pytest.mark.parametrize("family", ["lhnn", "mlp"])
+    def test_matches_fit(self, family, dataset, tmp_path):
+        from repro.train import TrainConfig, evaluate, fit
+        result = run_experiment(tiny_spec(family, tmp_path),
                                 dataset=dataset, save=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            model = train_lhnn(dataset.train_samples(),
-                               TrainConfig(epochs=2),
-                               LHNNConfig(hidden=8))
-            legacy = evaluate_lhnn(model, dataset.test_samples())
-        assert result.metrics == legacy
-
-    def test_mlp_matches_train_mlp(self, dataset, tmp_path):
-        from repro.train import TrainConfig, evaluate_mlp, train_mlp
-        result = run_experiment(tiny_spec("mlp", tmp_path),
-                                dataset=dataset, save=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            model = train_mlp(dataset.train_samples(), TrainConfig(epochs=2),
-                              hidden=8)
-            legacy = evaluate_mlp(model, dataset.test_samples())
-        assert result.metrics == legacy
-
-    def test_legacy_shims_warn(self, dataset):
-        from repro.train import TrainConfig, evaluate_mlp, train_mlp
-        with pytest.warns(DeprecationWarning, match="train_mlp"):
-            model = train_mlp(dataset.train_samples(), TrainConfig(epochs=1),
-                              hidden=4)
-        with pytest.warns(DeprecationWarning, match="evaluate_mlp"):
-            evaluate_mlp(model, dataset.test_samples())
+        model = fit(family, dataset.train_samples(), TrainConfig(epochs=2),
+                    {"hidden": 8})
+        direct = evaluate(model, dataset.test_samples(), TrainConfig())
+        assert result.metrics == direct
 
 
 class TestRunnerBehaviour:

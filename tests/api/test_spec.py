@@ -131,6 +131,10 @@ class TestValidation:
             spec_from_dict({"train": {"epochs": 0}})
         with pytest.raises(SpecError, match="workload.scale must be > 0"):
             spec_from_dict({"workload": {"scale": 0.0}})
+        for crop in (0, -4):
+            with pytest.raises(SpecError,
+                               match="train.crop must be >= 1 or null"):
+                spec_from_dict({"train": {"crop": crop}})
 
     def test_params_must_be_table(self):
         with pytest.raises(SpecError, match="model.params must be a table"):

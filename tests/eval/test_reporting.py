@@ -5,8 +5,7 @@ import pytest
 
 from repro.data import CongestionDataset
 from repro.eval import markdown_table, per_design_report, predicted_rate_table
-from repro.models.lhnn import LHNN, LHNNConfig
-from repro.train import TrainConfig, train_lhnn
+from repro.train import TrainConfig, fit
 
 
 @pytest.fixture(scope="module")
@@ -16,8 +15,8 @@ def dataset(tiny_graph_suite):
 
 @pytest.fixture(scope="module")
 def model(dataset):
-    return train_lhnn(dataset.train_samples(), TrainConfig(epochs=2, seed=0),
-                      LHNNConfig(hidden=8))
+    return fit("lhnn", dataset.train_samples(), TrainConfig(epochs=2, seed=0),
+               {"hidden": 8})
 
 
 class TestPerDesignReport:

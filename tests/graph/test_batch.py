@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph import BatchCache, batch_graphs, plan_batches, unbatch_values
+from repro.graph import batch_graphs, plan_batches, unbatch_values
 from repro.models.lhnn import LHNN, LHNNConfig
 from repro.nn import Tensor
 
@@ -113,33 +113,6 @@ class TestBatchedForward:
         values = np.zeros((batched.num_gcells, 2))
         parts = unbatch_values(batched, values)
         assert [p.shape for p in parts] == [(g.num_gcells, 2) for g in pair]
-
-
-class TestBatchCache:
-    def test_hit_on_same_membership(self, pair):
-        cache = BatchCache()
-        first = cache.get(list(pair))
-        second = cache.get(list(pair))
-        assert first is second
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_miss_on_different_membership(self, pair):
-        cache = BatchCache()
-        cache.get(list(pair))
-        cache.get([pair[0]])
-        assert cache.misses == 2
-
-    def test_eviction_bound(self, tiny_graph_suite):
-        cache = BatchCache(max_entries=2)
-        for g in tiny_graph_suite[:4]:
-            cache.get([g])
-        assert len(cache) == 2
-
-    def test_clear(self, pair):
-        cache = BatchCache()
-        cache.get(list(pair))
-        cache.clear()
-        assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
 
 
 class _Stub:

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from repro.data import CongestionDataset
-from repro.models.lhnn import LHNNConfig
-from repro.train import (TrainConfig, evaluate_lhnn, evaluate_mlp,
-                         train_lhnn, train_mlp)
+from repro.train import TrainConfig, evaluate, fit
+
+#: Evaluation one design per forward pass.
+PER_DESIGN = TrainConfig(batch_size=1)
 
 
 @pytest.fixture(scope="module")
@@ -30,18 +31,18 @@ class TestEndToEnd:
 
     def test_lhnn_beats_constant_predictor_on_train(self, dataset):
         tr = dataset.train_samples()
-        model = train_lhnn(tr, TrainConfig(epochs=8, seed=0),
-                           LHNNConfig(hidden=16))
-        metrics = evaluate_lhnn(model, tr)
+        model = fit("lhnn", tr, TrainConfig(epochs=8, seed=0),
+                    {"hidden": 16})
+        metrics = evaluate(model, tr, PER_DESIGN)
         # constant all-negative prediction gives F1 = 0
         assert metrics["f1"] > 0.0
 
     def test_duo_channel_end_to_end(self, tiny_graph_suite):
         ds = CongestionDataset(tiny_graph_suite, channels=2)
         tr = ds.train_samples()
-        model = train_lhnn(tr, TrainConfig(epochs=3, seed=0),
-                           LHNNConfig(hidden=8, channels=2))
-        metrics = evaluate_lhnn(model, ds.test_samples())
+        model = fit("lhnn", tr, TrainConfig(epochs=3, seed=0),
+                    {"hidden": 8, "channels": 2})
+        metrics = evaluate(model, ds.test_samples(), PER_DESIGN)
         assert np.isfinite(metrics["f1"])
 
     def test_zero_feature_ablation_end_to_end(self, tiny_graph_suite):
@@ -50,15 +51,15 @@ class TestEndToEnd:
         ds = CongestionDataset(tiny_graph_suite, channels=1,
                                zero_gcell_features=True)
         tr = ds.train_samples()
-        model = train_lhnn(tr, TrainConfig(epochs=3, seed=0),
-                           LHNNConfig(hidden=8))
-        metrics = evaluate_lhnn(model, ds.test_samples())
+        model = fit("lhnn", tr, TrainConfig(epochs=3, seed=0),
+                    {"hidden": 8})
+        metrics = evaluate(model, ds.test_samples(), PER_DESIGN)
         assert np.isfinite(metrics["f1"])
 
     def test_mlp_end_to_end(self, dataset):
-        model = train_mlp(dataset.train_samples(),
-                          TrainConfig(epochs=8, seed=0))
-        metrics = evaluate_mlp(model, dataset.test_samples())
+        model = fit("mlp", dataset.train_samples(),
+                    TrainConfig(epochs=8, seed=0))
+        metrics = evaluate(model, dataset.test_samples(), PER_DESIGN)
         assert metrics["acc"] > 40.0
 
     def test_visualization_from_model(self, dataset, tmp_path):
@@ -66,8 +67,8 @@ class TestEndToEnd:
         from repro.nn import Tensor
         tr = dataset.train_samples()
         te = dataset.test_samples()
-        model = train_lhnn(tr, TrainConfig(epochs=2, seed=0),
-                           LHNNConfig(hidden=8))
+        model = fit("lhnn", tr, TrainConfig(epochs=2, seed=0),
+                    {"hidden": 8})
         sample = te[0]
         out = model(sample.graph, vc=Tensor(sample.features),
                     vn=Tensor(sample.net_features))

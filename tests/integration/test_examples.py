@@ -3,8 +3,13 @@
 ``quickstart.py``, ``routability_flow.py`` and ``model_zoo.py`` train on
 the full cached suite (minutes), so they are exercised by the benchmark
 suite instead; the two examples below are self-contained and quick.
+Every example is also imported in-process: each keeps its work behind
+``if __name__ == "__main__"``, so an import runs nothing and only
+resolves the ``repro`` names the script uses.
 """
 
+import glob
+import importlib.util
 import os
 import subprocess
 import sys
@@ -50,3 +55,13 @@ class TestExamples:
         source = open(path).read()
         assert source.lstrip().startswith(('#!', '"""')), name
         assert '__main__' in source, name
+
+    @pytest.mark.parametrize(
+        "path", sorted(glob.glob(os.path.join(EXAMPLES, "*.py"))),
+        ids=os.path.basename)
+    def test_example_imports(self, path):
+        """A public name an example imports cannot vanish unnoticed."""
+        name = os.path.splitext(os.path.basename(path))[0]
+        spec = importlib.util.spec_from_file_location(f"_example_{name}",
+                                                      path)
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))

@@ -10,10 +10,8 @@ import pytest
 
 from repro.data import CongestionDataset
 from repro.eval import rate_tracking_error
-from repro.models.lhnn import LHNNConfig
 from repro.nn import Tensor, no_grad
-from repro.train import (TrainConfig, evaluate_lhnn, evaluate_mlp,
-                         train_lhnn, train_mlp)
+from repro.train import TrainConfig, evaluate, fit
 
 
 @pytest.fixture(scope="module")
@@ -23,15 +21,15 @@ def dataset(tiny_graph_suite):
 
 @pytest.fixture(scope="module")
 def trained_lhnn(dataset):
-    return train_lhnn(dataset.train_samples(), TrainConfig(epochs=10, seed=0),
-                      LHNNConfig(hidden=16))
+    return fit("lhnn", dataset.train_samples(), TrainConfig(epochs=10, seed=0),
+               {"hidden": 16})
 
 
 class TestPaperClaims:
     def test_lhnn_learns_better_than_chance(self, trained_lhnn, dataset):
         """§5.2: LHNN produces a usable congestion classifier."""
         te = dataset.test_samples()
-        metrics = evaluate_lhnn(trained_lhnn, te)
+        metrics = evaluate(trained_lhnn, te, TrainConfig(batch_size=1))
         # Random guessing at the positive rate p has F1 ≈ p on average;
         # trained LHNN must beat the base-rate F1 comfortably.
         base_rate = 100 * float(np.mean([s.cls_target.mean() for s in te]))
@@ -71,8 +69,9 @@ class TestPaperClaims:
         te = dataset.test_samples()
         rates = {}
         for gamma in (0.5, 1.0):
-            model = train_lhnn(tr, TrainConfig(epochs=6, seed=0, gamma=gamma),
-                               LHNNConfig(hidden=16))
+            model = fit("lhnn", tr,
+                        TrainConfig(epochs=6, seed=0, gamma=gamma),
+                        {"hidden": 16})
             model.eval()
             with no_grad():
                 preds = [model(s.graph, vc=Tensor(s.features),

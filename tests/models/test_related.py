@@ -162,10 +162,9 @@ class TestGridSAGE:
 
     def test_trains_with_trainer(self, tiny_graph_suite):
         from repro.data import CongestionDataset
-        from repro.train import (TrainConfig, evaluate_gridsage,
-                                 train_gridsage)
+        from repro.train import TrainConfig, evaluate, fit
         ds = CongestionDataset(tiny_graph_suite, channels=1)
-        model = train_gridsage(ds.train_samples(),
-                               TrainConfig(epochs=2, seed=0), hidden=8)
-        metrics = evaluate_gridsage(model, ds.test_samples())
+        cfg = TrainConfig(epochs=2, seed=0)
+        model = fit("gridsage", ds.train_samples(), cfg, {"hidden": 8})
+        metrics = evaluate(model, ds.test_samples(), cfg)
         assert np.isfinite(metrics["f1"])

@@ -17,11 +17,7 @@ from repro.models.pix2pix import Pix2Pix
 from repro.models.related import GridSAGE
 from repro.models.unet import UNet
 from repro.nn import DtypeConfig, Tensor, no_grad
-from repro.train import (TrainConfig, evaluate_lhnn, evaluate_mlp,
-                         evaluate_pix2pix, evaluate_unet, train_lhnn,
-                         train_mlp, train_pix2pix, train_unet)
-from repro.train.trainer import (evaluate_gridsage, predict_probs,
-                                 train_gridsage)
+from repro.train import TrainConfig, evaluate, fit, predict_probs
 
 
 @pytest.fixture(scope="module")
@@ -76,30 +72,26 @@ class TestForwardParity:
                                    atol=2e-3)
 
 
-_TRAINERS = {
-    "lhnn": (lambda tr, cfg: train_lhnn(tr, cfg, LHNNConfig(hidden=8)),
-             evaluate_lhnn),
-    "mlp": (lambda tr, cfg: train_mlp(tr, cfg, hidden=8), evaluate_mlp),
-    "gridsage": (lambda tr, cfg: train_gridsage(tr, cfg, hidden=8),
-                 evaluate_gridsage),
-    "unet": (lambda tr, cfg: train_unet(tr, cfg, base_width=4),
-             evaluate_unet),
-    "pix2pix": (lambda tr, cfg: train_pix2pix(tr, cfg, base_width=4),
-                evaluate_pix2pix),
+# Small construction knobs per family, so two epochs stay fast.
+_KNOBS = {
+    "lhnn": {"hidden": 8},
+    "mlp": {"hidden": 8},
+    "gridsage": {"hidden": 8},
+    "unet": {"base_width": 4},
+    "pix2pix": {"base_width": 4},
 }
 
 
 class TestTrainingParity:
-    @pytest.mark.parametrize("family", sorted(_TRAINERS))
+    @pytest.mark.parametrize("family", sorted(_KNOBS))
     def test_two_epoch_f1_within_noise(self, suite, family):
-        train_fn, eval_fn = _TRAINERS[family]
         cfg = TrainConfig(epochs=2, seed=0)
         results = {}
         for dtype in (np.float64, np.float32):
             with DtypeConfig(dtype):
                 train, test = _samples(suite, dtype)
-                model = train_fn(train, cfg)
-                results[dtype] = eval_fn(model, test)
+                model = fit(family, train, cfg, _KNOBS[family])
+                results[dtype] = evaluate(model, test, cfg)
         f1_64 = results[np.float64]["f1"]
         f1_32 = results[np.float32]["f1"]
         assert np.isfinite(f1_32) and np.isfinite(f1_64)

@@ -1,6 +1,6 @@
 """Regression: inference paths must not record autograd closures.
 
-Every ``evaluate_*`` loop in :mod:`repro.train.trainer` and the serving
+:func:`repro.train.evaluate` (for every model family) and the serving
 engine's ``flush`` run under :func:`repro.nn.no_grad`; if someone adds a
 forward pass outside the guard, evaluation silently builds (and leaks)
 training graphs.  These tests spy on ``Tensor._make`` and assert no
@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from repro.data import CongestionDataset
-from repro.models.lhnn import LHNNConfig
 from repro.nn.tensor import Tensor
 from repro.serve import InferenceEngine, PredictRequest, ServeConfig
-from repro.train import (TrainConfig, evaluate_lhnn, evaluate_mlp,
-                         evaluate_unet, train_lhnn, train_mlp, train_unet)
+from repro.train import TrainConfig, evaluate, fit
+
+#: Evaluation one design per forward pass.
+PER_DESIGN = TrainConfig(batch_size=1)
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +31,8 @@ def samples(dataset):
 
 @pytest.fixture(scope="module")
 def lhnn_model(dataset):
-    return train_lhnn(dataset.train_samples(), TrainConfig(epochs=1, seed=0),
-                      LHNNConfig(hidden=8))
+    return fit("lhnn", dataset.train_samples(), TrainConfig(epochs=1, seed=0),
+               {"hidden": 8})
 
 
 @pytest.fixture
@@ -57,24 +58,24 @@ def _assert_no_closures(created):
 
 
 def test_evaluate_lhnn_records_no_closures(lhnn_model, samples, closure_spy):
-    evaluate_lhnn(lhnn_model, samples, batch_size=2)
+    evaluate(lhnn_model, samples, TrainConfig(batch_size=2))
     _assert_no_closures(closure_spy)
 
 
 def test_evaluate_mlp_records_no_closures(dataset, samples, closure_spy,
                                           monkeypatch):
-    model = train_mlp(dataset.train_samples(), TrainConfig(epochs=1, seed=0),
-                      hidden=8)
+    model = fit("mlp", dataset.train_samples(), TrainConfig(epochs=1, seed=0),
+                {"hidden": 8})
     closure_spy.clear()  # drop tensors created during training
-    evaluate_mlp(model, samples)
+    evaluate(model, samples, PER_DESIGN)
     _assert_no_closures(closure_spy)
 
 
 def test_evaluate_unet_records_no_closures(dataset, samples, closure_spy):
-    model = train_unet(dataset.train_samples(), TrainConfig(epochs=1, seed=0),
-                       base_width=4)
+    model = fit("unet", dataset.train_samples(), TrainConfig(epochs=1, seed=0),
+                {"base_width": 4})
     closure_spy.clear()
-    evaluate_unet(model, samples)
+    evaluate(model, samples, PER_DESIGN)
     _assert_no_closures(closure_spy)
 
 
