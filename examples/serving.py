@@ -14,16 +14,20 @@ Demonstrates the serving subsystem end to end, self-contained and fast
    pass over their block-diagonal supergraph,
 4. repeat the requests: the content-addressed caches answer them with
    zero placement/routing work,
-5. drive the same engine through the JSON-lines protocol with
-   :class:`~repro.serve.client.LocalClient` — the exact call surface a
-   ``ServeClient`` uses against ``repro.cli serve --port``.
+5. serve the checkpoint over TCP with a one-worker
+   :class:`~repro.serve.service.ServeService` (what ``repro.cli serve
+   --port`` runs) and round-trip a request with
+   :class:`~repro.serve.client.ServeClient`.
 
 Usage::
 
     python examples/serving.py
 """
 
+import asyncio
+import queue
 import tempfile
+import threading
 import time
 
 import numpy as np
@@ -34,9 +38,9 @@ from repro.pipeline import PipelineConfig
 from repro.pipeline.stages import STAGE_CALLS, reset_stage_calls
 from repro.placement import PlacementConfig
 from repro.routing import RouterConfig
-from repro.serve import (DesignResolver, InferenceEngine, LocalClient,
-                         PredictRequest, ServeConfig, restore_model,
-                         save_model)
+from repro.serve import (InferenceEngine, PredictRequest, ServeClient,
+                         ServeConfig, ServeService, ServiceConfig,
+                         restore_model, save_model)
 
 
 def main() -> None:
@@ -89,17 +93,27 @@ def main() -> None:
           f"{dict(STAGE_CALLS)}, all cached: "
           f"{all(r.cached for r in warm)}")
 
-    # -- 5. the client surface ----------------------------------------
-    client = LocalClient(engine, DesignResolver(pipeline))
-    client.predict(spec={"name": "adhoc", "seed": 99, "num_movable": 60,
-                         "die_size": 32.0}, channel="h")
-    [reply] = client.flush()
+    # -- 5. the wire: service + client --------------------------------
+    service = ServeService(ckpt, serve=ServeConfig(
+        pipeline=pipeline, cache_dir=f"{workdir}/cache"),
+        config=ServiceConfig(workers=1))
+    ports = queue.Queue()
+    server = threading.Thread(target=asyncio.run, args=(
+        service.run("127.0.0.1", 0, ready_callback=ports.put),))
+    server.start()
+    with ServeClient.connect(port=ports.get(timeout=60)) as client:
+        client.predict(spec={"name": "adhoc", "seed": 99,
+                             "num_movable": 60, "die_size": 32.0},
+                       channel="h")
+        [reply] = client.flush()
+        stats = client.stats(workers=True)["workers"][0]
+        client.shutdown()
+    server.join()
     grid = np.array(reply["result"]["grids"]["h"])
     print(f"\nclient round trip: design {reply['result']['name']!r}, "
           f"grid {grid.shape}, predicted rate "
           f"{100 * reply['result']['predicted_rate']['h']:.1f} %")
-    stats = client.stats()
-    print(f"engine stats: {stats['requests']} requests, "
+    print(f"worker engine stats: {stats['requests']} requests, "
           f"{stats['forward_passes']} forward passes, sample cache "
           f"{stats['sample_cache']['hits']} hits / "
           f"{stats['sample_cache']['misses']} misses")

@@ -108,15 +108,13 @@ def _checkpoint_metadata(spec: ExperimentSpec, fingerprint: str,
 
     The full canonical spec rides along (sections under ``experiment``),
     so new spec fields are recorded automatically instead of rotting in a
-    hand-maintained dict of CLI args; a few flat keys are kept because
-    other subsystems read them (``dtype`` at restore, ``channels`` by the
-    legacy fallback).
+    hand-maintained dict of CLI args; ``dtype`` stays a flat key because
+    restore reads it.
     """
     return {
         "experiment": spec_to_dict(spec),
         "spec_fingerprint": fingerprint,
         "dtype": spec.compute.dtype,
-        "channels": spec.model.channels,
         "suite": spec.workload.suite,
         "f1": metrics["f1"], "acc": metrics["acc"],
     }

@@ -26,7 +26,8 @@ Usage (after ``pip install -e .``)::
                                    [--channel h|v|both] [--suite NAME]
                                    [--scale 1.0]
     python -m repro.cli serve      --checkpoint ckpt.npz [--port N]
-                                   [--max-batch 8] [--dtype float32|float64]
+                                   [--workers 1] [--max-batch 8]
+                                   [--dtype float32|float64]
     python -m repro.cli info                              # package versions
 
 Every subcommand works off the cached pipeline products, so the first
@@ -170,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(bounded retries with exponential backoff; a dead "
                         "server errors out instead of blocking forever)")
 
-    p = sub.add_parser("serve", help="long-lived batched inference loop "
+    p = sub.add_parser("serve", help="long-lived batched inference service "
                        "(JSON lines on stdin/stdout, or --port for TCP)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--port", type=int, default=None,
@@ -188,23 +189,22 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="serve at this compute dtype regardless of how "
                         "the checkpoint was trained (default: the "
                         "checkpoint's recorded dtype)")
-    p.add_argument("--workers", type=_positive_int, default=None,
-                   help="run the supervised multi-worker asyncio service "
-                        "with N engine worker processes (requires --port; "
-                        "default: the single-process engine loop)")
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="engine worker processes behind the asyncio "
+                        "front end")
     p.add_argument("--max-queue", type=_positive_int, default=256,
                    dest="max_queue",
-                   help="service mode: max admitted-but-unanswered "
-                        "requests before backpressure replies (global; "
-                        "per-connection cap is a quarter of this)")
+                   help="max admitted-but-unanswered requests before "
+                        "backpressure replies (global; per-connection cap "
+                        "is a quarter of this)")
     p.add_argument("--flush-deadline-ms", type=float, default=25.0,
                    dest="flush_deadline_ms",
-                   help="service mode: auto-flush latency target — a "
-                        "buffered warm batch dispatches after this long "
-                        "even if the size trigger hasn't fired")
+                   help="auto-flush latency target — a buffered warm "
+                        "batch dispatches after this long even if the size "
+                        "trigger hasn't fired")
     p.add_argument("--admin-token", default=None, dest="admin_token",
-                   help="service mode: require this token on reload/"
-                        "shutdown ops (default: admin ops are open)")
+                   help="require this token on reload/shutdown ops "
+                        "(default: admin ops are open)")
 
     p = sub.add_parser("sweep", help="expand a declarative sweep spec "
                        "into the full experiment grid and drive it to a "
@@ -520,43 +520,19 @@ def cmd_predict(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.nn.serialize import CheckpointError
-    from repro.pipeline import PipelineConfig
-    from repro.serve import (DesignResolver, InferenceEngine, ServeConfig,
-                             restore_model, serve_forever, serve_socket)
-    if args.workers is not None:
-        return _serve_service(args)
-    try:
-        model, _ = restore_model(args.checkpoint, dtype=args.dtype)
-    except CheckpointError as exc:
-        print(f"serve failed: {exc}", file=sys.stderr)
-        return 2
-    config = PipelineConfig(scale=args.scale)
-    engine = InferenceEngine(model, ServeConfig(pipeline=config,
-                                                max_batch=args.max_batch))
-    resolver = DesignResolver(config, default_suite=args.suite)
-    if args.port is None:
-        print(f"[serve] {engine.family} ({engine.channels} channel(s)); "
-              f"JSON lines on stdin, one op per line "
-              f"(predict/flush/stats/ping/shutdown)", file=sys.stderr)
-        serve_forever(engine, resolver, sys.stdin, sys.stdout)
-    else:
-        serve_socket(engine, resolver, args.port, host=args.host,
-                     ready_callback=lambda p: print(
-                         f"[serve] listening on {args.host}:{p}",
-                         file=sys.stderr))
-    return 0
-
-
-def _serve_service(args) -> int:
-    """Run the supervised multi-worker asyncio service (``--workers N``)."""
+    """Run the supervised asyncio service on TCP (``--port``) or stdio."""
     import asyncio
 
+    from repro.nn.serialize import CheckpointError
     from repro.pipeline import PipelineConfig
-    from repro.serve import ServeConfig, ServeService, ServiceConfig
-    if args.port is None:
-        print("serve failed: --workers requires --port (the service only "
-              "speaks TCP)", file=sys.stderr)
+    from repro.serve import (ServeConfig, ServeService, ServiceConfig,
+                             restore_model)
+    # Restore once here, so a checkpoint the workers could not load
+    # fails now instead of crash-looping them.
+    try:
+        _, metadata = restore_model(args.checkpoint, dtype=args.dtype)
+    except CheckpointError as exc:
+        print(f"serve failed: {exc}", file=sys.stderr)
         return 2
     service = ServeService(
         checkpoint=args.checkpoint,
@@ -569,14 +545,23 @@ def _serve_service(args) -> int:
                              flush_deadline_ms=args.flush_deadline_ms,
                              admin_token=args.admin_token),
         default_suite=args.suite, dtype=args.dtype)
+    banner = (f"[serve] {metadata['model']['family']} checkpoint, "
+              f"{args.workers} worker(s)")
     try:
-        asyncio.run(service.run(
-            args.host, args.port,
-            ready_callback=lambda p: print(
-                f"[serve] service: {args.workers} worker(s) on "
-                f"{args.host}:{p}", file=sys.stderr)))
+        if args.port is None:
+            print(f"{banner}; JSON lines on stdin, one op per line",
+                  file=sys.stderr)
+            asyncio.run(service.run_stdio())
+        else:
+            asyncio.run(service.run(
+                args.host, args.port,
+                ready_callback=lambda p: print(
+                    f"{banner} on {args.host}:{p}", file=sys.stderr)))
     except KeyboardInterrupt:
         pass
+    except OSError as exc:  # the port is taken, or stdin failed
+        print(f"serve failed: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

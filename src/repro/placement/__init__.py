@@ -10,7 +10,6 @@ from .quadratic import QuadraticPlacer, solve_quadratic
 from .spreading import SpreadingConfig, compute_bin_density, spread, spread_step
 from .legalize import legalize, overlap_count, row_segments
 from .placer import PlacementConfig, PlacementResult, place
-from .detailed import DetailedResult, detailed_place
 
 __all__ = [
     "hpwl", "per_net_hpwl", "density_map", "density_overflow",
@@ -18,5 +17,4 @@ __all__ = [
     "SpreadingConfig", "compute_bin_density", "spread", "spread_step",
     "legalize", "overlap_count", "row_segments",
     "PlacementConfig", "PlacementResult", "place",
-    "DetailedResult", "detailed_place",
 ]

@@ -8,11 +8,15 @@ placement loop) needs as a *service* rather than a one-shot script:
 * :mod:`~repro.serve.engine` — request queueing, on-demand pipeline
   preparation with a content-addressed warm cache, and dynamic
   micro-batching into block-diagonal supergraph forward passes,
-* :mod:`~repro.serve.server` / :mod:`~repro.serve.client` — a JSON-lines
-  protocol (stdin/stdout or TCP) and the matching Python clients.
+* :mod:`~repro.serve.service` / :mod:`~repro.serve.supervisor` — the
+  one wire front end: an asyncio JSON-lines service (TCP or
+  stdin/stdout) over N supervised engine-worker processes,
+* :mod:`~repro.serve.server` / :mod:`~repro.serve.client` — the
+  protocol helpers and the matching Python clients.
 
-Entry points: ``repro.cli serve`` (long-lived loop), ``repro.cli
-predict`` (one-shot through the same engine), or in Python::
+Entry points: ``repro.cli serve`` (the long-lived service),
+``repro.cli predict`` (one-shot through the same engine), or in
+Python::
 
     from repro.serve import InferenceEngine, PredictRequest, restore_model
     model, meta = restore_model("artifacts/lhnn.npz")
@@ -23,7 +27,7 @@ predict`` (one-shot through the same engine), or in Python::
 """
 
 from .cache import SampleCache
-from .client import AsyncServeClient, LocalClient, ServeClient, ServeError
+from .client import AsyncServeClient, ServeClient, ServeError
 from .engine import (InferenceEngine, PredictRequest, PredictResult,
                      ServeConfig)
 from .registry import (ModelFamily, attach_runtime, build_model, family_of,
@@ -31,21 +35,19 @@ from .registry import (ModelFamily, attach_runtime, build_model, family_of,
                        output_channels, register_family, restore_model,
                        save_model)
 from .router import Route, Router, routing_key
-from .server import (PROTOCOL_VERSION, DesignResolver, FlushDeliveryError,
-                     protocol_version_error, serve_forever, serve_socket,
-                     server_identity)
+from .server import (PROTOCOL_VERSION, DesignResolver,
+                     protocol_version_error, server_identity)
 from .service import ServeService, ServiceConfig
 from .supervisor import Supervisor, WorkerCrashed, WorkerError, WorkerSpec
 
 __all__ = [
     "SampleCache",
-    "AsyncServeClient", "LocalClient", "ServeClient", "ServeError",
+    "AsyncServeClient", "ServeClient", "ServeError",
     "InferenceEngine", "PredictRequest", "PredictResult", "ServeConfig",
     "ModelFamily", "attach_runtime", "build_model", "family_of",
     "get_family", "get_runtime", "list_families", "model_spec",
     "output_channels", "register_family", "restore_model", "save_model",
-    "DesignResolver", "FlushDeliveryError", "PROTOCOL_VERSION",
-    "protocol_version_error", "serve_forever", "serve_socket",
+    "DesignResolver", "PROTOCOL_VERSION", "protocol_version_error",
     "server_identity",
     "Route", "Router", "routing_key",
     "ServeService", "ServiceConfig",

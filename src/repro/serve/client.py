@@ -1,21 +1,17 @@
-"""Python clients for the serving engine and service.
+"""Python clients for the serving service.
 
-Three clients, one protocol family:
+Two clients for the JSON-lines protocol of
+:class:`~repro.serve.service.ServeService`:
 
-* :class:`ServeClient` speaks the JSON-lines protocol of
-  :mod:`repro.serve.server` over a TCP socket (or any reader/writer
-  pair) — use against a long-lived ``repro.cli serve`` process; it
-  understands both the v1 engine loop and the v2 multi-worker service
-  (asynchronously pushed results are stashed for the next flush);
-* :class:`AsyncServeClient` is the asyncio-native v2 client — many
-  in-flight predictions over one connection, results awaited per
-  request; the sustained-load benches drive the service with it;
-* :class:`LocalClient` drives an in-process
-  :class:`~repro.serve.engine.InferenceEngine` directly with the same
-  methods — no sockets, no serialisation; handy in notebooks, examples
-  and benchmarks.
+* :class:`ServeClient` is blocking and speaks the protocol over a TCP
+  socket (or any reader/writer pair) — use against a long-lived
+  ``repro.cli serve --port`` process; results the service pushes
+  before the flush are stashed and returned by the next flush;
+* :class:`AsyncServeClient` is asyncio-native — many in-flight
+  predictions over one connection, results awaited per request; the
+  sustained-load benches drive the service with it.
 
-Both follow the engine's queue-then-flush model::
+Both follow the queue-then-flush model::
 
     client.predict(design="superblue5")        # queued
     client.predict(design="superblue7")        # queued
@@ -29,7 +25,7 @@ import json
 import socket
 import time
 
-__all__ = ["AsyncServeClient", "ServeClient", "LocalClient", "ServeError"]
+__all__ = ["AsyncServeClient", "ServeClient", "ServeError"]
 
 
 class ServeError(RuntimeError):
@@ -40,7 +36,7 @@ class ServeError(RuntimeError):
 def _is_push(reply: dict) -> bool:
     """Whether a reply line is an async per-request answer.
 
-    The v2 service delivers results (and per-request failures) whenever
+    The service delivers results (and per-request failures) whenever
     they are ready, interleaved with op acks; both shapes are
     recognisable without tracking ids: results carry ``result``,
     failures ``status: "failed"``.
@@ -54,10 +50,10 @@ class ServeClient:
     Construct with a connected ``reader``/``writer`` pair, or use
     :meth:`connect` for TCP — which retries with exponential backoff
     and arms a read timeout, so a dead or wedged server produces a
-    :class:`ServeError` instead of blocking the caller forever.  Speaks
-    both protocol generations: against the v2 service, asynchronously
-    pushed result lines are stashed and returned by the next
-    :meth:`flush`.  Not thread-safe (one in-flight exchange at a time).
+    :class:`ServeError` instead of blocking the caller forever.  Result
+    lines the service pushes asynchronously are stashed and returned by
+    the next :meth:`flush`.  Not thread-safe (one in-flight exchange at
+    a time).
     """
 
     def __init__(self, reader, writer, *, close=None):
@@ -161,14 +157,13 @@ class ServeClient:
         return self._rpc(payload)
 
     def flush(self) -> list[dict]:
-        """Answer every queued request; returns results in submit order.
+        """Answer every queued request; returns results as they arrived.
 
-        Against the v1 engine loop, results stream back after the flush
-        op; against the v2 service, some may already have been pushed
-        (auto-flush deadline) and stashed — both end up here.  Failed
-        per-request replies (``status: "failed"``) are returned
-        alongside successes, not raised: one bad request must not hide
-        the other results.
+        Results stream back before the flush summary; some may already
+        have been pushed (auto-flush deadline) and stashed — both end up
+        here.  Failed per-request replies (``status: "failed"``) are
+        returned alongside successes, not raised: one bad request must
+        not hide the other results.
         """
         self._send({"op": "flush"})
         results, self._pushed = self._pushed, []
@@ -184,7 +179,7 @@ class ServeClient:
                 return results
 
     def stats(self, workers: bool = False) -> dict:
-        """Engine (or service) counters and cache hit rates."""
+        """Service counters (``workers=True`` adds per-worker engines)."""
         payload = {"op": "stats"}
         if workers:
             payload["workers"] = True
@@ -205,7 +200,7 @@ class ServeClient:
         return self._rpc(payload)
 
     def shutdown(self, token: str | None = None) -> None:
-        """Stop the server (draining first, where supported)."""
+        """Stop the server once its queued requests are drained."""
         payload = {"op": "shutdown"}
         if token is not None:
             payload["token"] = token
@@ -226,55 +221,8 @@ class ServeClient:
         self.close()
 
 
-class LocalClient:
-    """The client call surface over an in-process engine.
-
-    Results are returned as the same JSON-shaped dicts the wire protocol
-    produces (``{"id": ..., "result": {...}}``), so code written against
-    :class:`ServeClient` ports over by swapping the constructor.
-    """
-
-    def __init__(self, engine, resolver):
-        self.engine = engine
-        self.resolver = resolver
-        self._next_id = 0
-
-    def predict(self, design: str | None = None, suite: str | None = None,
-                spec: dict | None = None, channel: str = "h",
-                request_id=None) -> dict:
-        from .engine import PredictRequest
-        if request_id is None:
-            self._next_id += 1
-            request_id = self._next_id
-        payload = {}
-        if spec is not None:
-            payload["spec"] = spec
-        if design is not None:
-            payload["design"] = design
-        if suite is not None:
-            payload["suite"] = suite
-        resolved = self.resolver.resolve(payload)
-        pending = self.engine.submit(PredictRequest(
-            design=resolved, channel=channel, request_id=request_id))
-        return {"ok": True, "id": request_id, "status": "queued",
-                "pending": pending}
-
-    def flush(self) -> list[dict]:
-        return [{"ok": True, "id": r.request_id, "result": r.to_json()}
-                for r in self.engine.flush()]
-
-    def stats(self) -> dict:
-        return self.engine.stats()
-
-    def ping(self) -> bool:
-        return True
-
-    def close(self) -> None:
-        pass
-
-
 class AsyncServeClient:
-    """Asyncio client for the v2 multi-worker service protocol.
+    """Asyncio client for the service protocol.
 
     A background reader task demultiplexes the connection: op acks are
     answered in send order (predict/flush/stats/... each await their

@@ -1,9 +1,9 @@
 """The batched congestion-inference engine.
 
-:class:`InferenceEngine` is the serving core behind ``repro.cli serve``
-(and the rewired ``repro.cli predict``): it accepts prediction requests —
-a raw :class:`~repro.circuit.design.Design` that still needs the
-place → route → graph pipeline, or an already-prepared
+:class:`InferenceEngine` is the serving core behind each
+``repro.cli serve`` worker (and ``repro.cli predict``): it accepts
+prediction requests — a raw :class:`~repro.circuit.design.Design` that
+still needs the place → route → graph pipeline, or an already-prepared
 :class:`~repro.graph.lhgraph.LHGraph` — queues them, and answers a whole
 queue with as few forward passes as possible:
 
@@ -273,9 +273,9 @@ class InferenceEngine:
     def discard_pending(self) -> int:
         """Drop queued requests unanswered; returns how many.
 
-        The socket front end calls this when a client disconnects with
-        requests still queued, so they cannot leak into the next
-        connection's flush.
+        A serving worker calls this after every batch, so a request a
+        failed batch left queued cannot leak into the next batch's
+        flush.
         """
         dropped = len(self._pending)
         self._pending = []

@@ -19,10 +19,9 @@ the state dict — no probing, and a clear
 :class:`~repro.nn.serialize.CheckpointError` when the file names an
 unknown family or a config the factory rejects.
 
-Legacy checkpoints (written before the registry existed) carry no
-``model`` key; they are restored through the documented fallback — an
-LHNN whose channel count comes from the training metadata — rather than
-by trial and error.
+A checkpoint without a ``model`` key (plain
+:func:`~repro.nn.serialize.save_checkpoint` output) is refused with a
+``CheckpointError`` rather than guessed at.
 """
 
 from __future__ import annotations
@@ -224,21 +223,6 @@ def save_model(model: Module, path: str,
     return save_checkpoint(model, path, metadata=merged)
 
 
-def _legacy_spec(metadata: dict, path: str) -> dict:
-    """Architecture spec for pre-registry checkpoints.
-
-    Old ``repro.cli train`` runs recorded ``channels`` (and only ever
-    trained LHNN), so that is the one legacy layout restored; anything
-    else is a hard error instead of a guess.
-    """
-    if "channels" in metadata:
-        return {"family": "lhnn",
-                "config": {"channels": int(metadata["channels"])}}
-    raise CheckpointError(
-        f"{path}: checkpoint has no architecture metadata and no legacy "
-        f"'channels' key; re-save it with repro.serve.registry.save_model")
-
-
 def restore_model(path: str, seed: int = 0,
                   dtype=None) -> tuple[Module, dict]:
     """Rebuild the checkpointed model from its embedded spec and load it.
@@ -267,7 +251,11 @@ def restore_model(path: str, seed: int = 0,
     try:
         header = read_checkpoint_header(path)
         metadata = header.get("metadata", {})
-        spec = metadata.get("model") or _legacy_spec(metadata, path)
+        spec = metadata.get("model")
+        if not spec:
+            raise CheckpointError(
+                f"{path}: checkpoint has no architecture metadata; "
+                f"re-save it with repro.serve.registry.save_model")
         model = build_model(spec, seed=seed)
         target = np.dtype(dtype) if dtype is not None \
             else np.dtype(metadata.get("dtype", "float64"))

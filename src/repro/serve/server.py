@@ -1,57 +1,35 @@
-"""JSON-lines serving loop: the wire surface of the inference engine.
+"""Wire-protocol helpers of the serving service.
 
-One request per line, one (or more) JSON replies per line.  The same
-loop serves ``repro.cli serve`` over stdin/stdout *and* over a TCP
-socket — it only sees a line reader and a line writer, which is also
-what makes it trivially testable with in-memory streams.
+:class:`~repro.serve.service.ServeService` speaks JSON lines — one
+request object per line, one or more reply objects out — over TCP or
+stdin/stdout (``repro.cli serve``).  This module holds the pieces of
+that protocol that do not depend on the front end: the protocol
+version, the line-length guard, the identity block ``ping``/``stats``
+replies carry, per-request version rejection, and
+:class:`DesignResolver`, which turns a predict payload's design
+reference into a :class:`~repro.circuit.design.Design` inside each
+worker.  ``docs/serving.md`` has the op table.
 
-Protocol (all objects; unknown keys ignored)::
-
-    {"op": "predict", "id": 7, "suite": "superblue",
-     "design": "superblue5", "channel": "h"}   → queue; ack line
-    {"op": "predict", "id": 8, "spec": {"name": "adhoc", "seed": 1,
-     "num_movable": 150}}                      → generate + queue
-    {"op": "flush"}     → one result line per queued request (in
-                          submission order), then a summary line
-    {"op": "stats"}     → engine counters and cache hit rates
-    {"op": "ping"}      → liveness
-    {"op": "shutdown"}  → ack and end the loop
-
-Replies always carry ``"ok"``; predict acks and results echo ``"id"``.
-Queued requests are only *answered* at flush — that is the whole point:
-the engine composes everything queued into as few block-diagonal forward
-passes as possible.
-
-Version negotiation: ``ping`` and ``stats`` replies carry a ``server``
-identity block (name, package version, ``protocol_version``, serving
-mode), and any request that *declares* a ``protocol_version`` newer than
-the server's is rejected per-request — an old server never silently
-misinterprets a newer client's ops.  The multi-worker asyncio front end
-(:mod:`repro.serve.service`) speaks a superset of this protocol; see
-``docs/serving.md`` for the full op table.
+Version negotiation: any request that *declares* a ``protocol_version``
+newer than the server's is rejected per request — an old server never
+silently misinterprets a newer client's ops.
 """
 
 from __future__ import annotations
-
-import json
-import socket
-import sys
 
 from ..circuit.design import Design
 from ..circuit.generator import DesignSpec, generate_design
 from ..pipeline import PipelineConfig
 from ..pipeline.workloads import load_workload
-from .engine import InferenceEngine, PredictRequest
 
-__all__ = ["DesignResolver", "FlushDeliveryError", "PROTOCOL_VERSION",
-           "protocol_version_error", "serve_forever", "serve_socket",
-           "server_identity"]
+__all__ = ["DesignResolver", "MAX_LINE_BYTES", "PROTOCOL_VERSION",
+           "protocol_version_error", "server_identity"]
 
 #: Version of the JSON-lines protocol this server speaks.  Bumped when
-#: ops or reply shapes change incompatibly: v1 was the PR 3 single-engine
+#: ops or reply shapes change incompatibly: v1 was the single-engine
 #: protocol (predict/flush/stats/ping/shutdown); v2 added the server
-#: identity block, per-request version rejection and the service-mode
-#: ops (reload, drain semantics, backpressure replies).
+#: identity block, per-request version rejection and the service ops
+#: (reload, drain semantics, backpressure replies).
 PROTOCOL_VERSION = 2
 
 #: Maximum accepted request-line length.  A line past this is answered
@@ -59,16 +37,19 @@ PROTOCOL_VERSION = 2
 #: (or malicious) client must not balloon server memory.
 MAX_LINE_BYTES = 1 << 20
 
+#: Inline-spec fields the generator divides by or sizes arrays with, and
+#: the least value each may take.
+_SPEC_MINIMA = {"num_movable": 1, "num_clusters": 1, "num_terminals": 0,
+                "num_macros": 0, "max_degree": 2}
+_SPEC_POSITIVE = ("die_size", "row_height", "utilization", "nets_per_cell",
+                  "degree_p", "capacity_factor")
 
-def server_identity(mode: str) -> dict:
-    """The identity block ``ping``/``stats`` replies carry.
 
-    ``mode`` distinguishes the single-process engine loop (``"engine"``)
-    from the supervised multi-worker service (``"service"``).
-    """
+def server_identity() -> dict:
+    """The identity block ``ping``/``stats`` replies carry."""
     from .. import __version__
     return {"name": "repro-serve", "version": __version__,
-            "protocol_version": PROTOCOL_VERSION, "mode": mode}
+            "protocol_version": PROTOCOL_VERSION, "mode": "service"}
 
 
 def protocol_version_error(payload: dict) -> str | None:
@@ -91,25 +72,16 @@ def protocol_version_error(payload: dict) -> str | None:
     return None
 
 
-class FlushDeliveryError(RuntimeError):
-    """The writer died while flush results were being delivered.
-
-    By the time results exist the engine state is already mutated (the
-    queue was consumed), so losing the pipe mid-delivery must not lose
-    the *accounting* too: the exception reports how many replies made it
-    out and how many computed results were discarded, and carries the
-    undelivered reply payloads for the front end to log or spool.
-    """
-
-    def __init__(self, delivered: int, discarded: int,
-                 undelivered: list[dict]):
-        super().__init__(
-            f"client pipe died mid-flush: {delivered} repl"
-            f"{'y' if delivered == 1 else 'ies'} delivered, "
-            f"{discarded} computed result(s) discarded")
-        self.delivered = delivered
-        self.discarded = discarded
-        self.undelivered = undelivered
+def _check_spec(spec: DesignSpec) -> None:
+    """Reject inline-spec values the generator cannot build a design from."""
+    for name, least in _SPEC_MINIMA.items():
+        value = getattr(spec, name)
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    for name in _SPEC_POSITIVE:
+        value = getattr(spec, name)
+        if not value > 0:
+            raise ValueError(f"{name} must be > 0, got {value!r}")
 
 
 class DesignResolver:
@@ -138,8 +110,10 @@ class DesignResolver:
         spec = payload.get("spec")
         if spec is not None:
             try:
-                return generate_design(DesignSpec(**spec))
-            except TypeError as exc:
+                design_spec = DesignSpec(**spec)
+                _check_spec(design_spec)
+                return generate_design(design_spec)
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad design spec: {exc}") from exc
         name = payload.get("design")
         if not name:
@@ -156,135 +130,3 @@ class DesignResolver:
             raise ValueError(f"unknown design {name!r} in suite {suite!r}; "
                              f"choose from {sorted(index)}")
         return index[name]
-
-
-def _send(writer, payload: dict) -> None:
-    writer.write(json.dumps(payload) + "\n")
-    writer.flush()
-
-
-def serve_forever(engine: InferenceEngine, resolver: DesignResolver,
-                  reader, writer,
-                  max_line_bytes: int = MAX_LINE_BYTES) -> bool:
-    """Run the line protocol until EOF or shutdown.
-
-    ``reader`` is any iterable of text lines, ``writer`` any object with
-    ``write``/``flush``.  Returns True when the loop ended on an explicit
-    ``shutdown`` op (the socket front end uses this to stop accepting).
-
-    Malformed traffic (bad JSON, non-object payloads, unknown ops or
-    channels, oversized lines, too-new protocol versions) is answered
-    with per-request errors and never ends the loop; only EOF, shutdown
-    or a dead writer do.
-    """
-    for line in reader:
-        if len(line) > max_line_bytes:
-            _send(writer, {"ok": False,
-                           "error": f"request line exceeds "
-                                    f"{max_line_bytes} bytes"})
-            continue
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            _send(writer, {"ok": False, "error": f"invalid JSON: {exc}"})
-            continue
-        if not isinstance(payload, dict):
-            _send(writer, {"ok": False,
-                           "error": "request must be a JSON object"})
-            continue
-        op = payload.get("op", "predict")
-        request_id = payload.get("id")
-        version_error = protocol_version_error(payload)
-        if version_error is not None:
-            _send(writer, {"ok": False, "id": request_id,
-                           "error": version_error})
-            continue
-        if op == "predict":
-            try:
-                design = resolver.resolve(payload)
-                pending = engine.submit(PredictRequest(
-                    design=design,
-                    channel=payload.get("channel", "h"),
-                    request_id=request_id))
-            except ValueError as exc:
-                _send(writer, {"ok": False, "id": request_id,
-                               "error": str(exc)})
-                continue
-            _send(writer, {"ok": True, "id": request_id,
-                           "status": "queued", "pending": pending})
-        elif op == "flush":
-            # Build every reply *before* writing any: the engine queue
-            # is consumed by flush(), so a writer that dies mid-delivery
-            # must not silently swallow the remaining computed results —
-            # the raised error accounts for delivered vs discarded and
-            # carries the undelivered payloads.
-            results = engine.flush()
-            replies = [{"ok": True, "id": result.request_id,
-                        "result": result.to_json()} for result in results]
-            replies.append({"ok": True, "status": "flushed",
-                            "count": len(results)})
-            delivered = 0
-            try:
-                for reply in replies:
-                    _send(writer, reply)
-                    delivered += 1
-            except (OSError, ValueError) as exc:
-                raise FlushDeliveryError(
-                    delivered, len(results) - min(delivered, len(results)),
-                    replies[delivered:]) from exc
-        elif op == "stats":
-            _send(writer, {"ok": True, "stats": engine.stats(),
-                           "server": server_identity("engine")})
-        elif op == "ping":
-            _send(writer, {"ok": True, "status": "pong",
-                           "server": server_identity("engine")})
-        elif op == "shutdown":
-            _send(writer, {"ok": True, "status": "shutting down"})
-            return True
-        else:
-            _send(writer, {"ok": False, "id": request_id,
-                           "error": f"unknown op {op!r}"})
-    return False
-
-
-def serve_socket(engine: InferenceEngine, resolver: DesignResolver,
-                 port: int, host: str = "127.0.0.1",
-                 ready_callback=None) -> None:
-    """Serve the line protocol over TCP, one connection at a time.
-
-    Connections are handled sequentially — the engine is single-threaded
-    on purpose (batching happens *within* a connection's queue).  A
-    client sending ``shutdown`` stops the whole server; a disconnect
-    only ends its own session, and any requests it queued but never
-    flushed are discarded so they cannot leak into the next
-    connection's flush.  ``ready_callback(port)`` fires once the socket
-    is listening (port 0 picks a free port; tests use this).
-    """
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        server.bind((host, port))
-        server.listen(1)
-        bound_port = server.getsockname()[1]
-        if ready_callback is not None:
-            ready_callback(bound_port)
-        while True:
-            conn, _ = server.accept()
-            try:
-                with conn, conn.makefile("r", encoding="utf-8") as reader, \
-                        conn.makefile("w", encoding="utf-8") as writer:
-                    if serve_forever(engine, resolver, reader, writer):
-                        return
-            except FlushDeliveryError as exc:
-                # Client died while its flush results were being
-                # delivered: the work is done and gone, so at least the
-                # accounting survives in the server log.
-                print(f"[serve] {exc}", file=sys.stderr)
-            except (OSError, ValueError):
-                # Client vanished mid-session (reply hit a closed pipe);
-                # only their session dies — keep accepting.
-                pass
-            finally:
-                engine.discard_pending()

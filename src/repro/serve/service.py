@@ -1,13 +1,14 @@
 """``repro.serve.service`` — supervised asyncio multi-worker serving.
 
-The PR 3 engine answers one blocking session at a time; this module is
-the front end that turns it into a *service*: many concurrent
-connections, N supervised engine-worker processes, and explicit
-operational semantics under load.  The shape follows the long-lived
-supervisor/worker/watchdog pattern (async actor supervision with
-monitored links): the asyncio process owns no model — it parses,
-routes, queues and delivers, while every expensive byte of work happens
-in :mod:`repro.serve.supervisor` worker processes.
+The one wire front end of the serving layer: it turns the batched
+:class:`~repro.serve.engine.InferenceEngine` into a *service* — many
+concurrent TCP connections (or one stdin/stdout session), N supervised
+engine-worker processes, and explicit operational semantics under
+load.  The shape follows the long-lived supervisor/worker/watchdog
+pattern (async actor supervision with monitored links): the asyncio
+process owns no model — it parses, routes, queues and delivers, while
+every expensive byte of work happens in :mod:`repro.serve.supervisor`
+worker processes.
 
 Semantics, in the order they matter operationally:
 
@@ -37,15 +38,20 @@ Semantics, in the order they matter operationally:
   ``shutdown`` drains every queued request before the server stops
   accepting; both ops are admin-scoped when ``admin_token`` is set.
 
-Wire protocol: a superset of :mod:`repro.serve.server` v2 — see
-``docs/serving.md`` for the op table.  Entry point: ``repro.cli serve
---workers N --port P``.
+Wire protocol: JSON lines, v2 (helpers in :mod:`repro.serve.server`) —
+see ``docs/serving.md`` for the op table.  Entry point: ``repro.cli
+serve [--workers N] [--port P]``; without ``--port`` the same session
+code serves stdin/stdout (:meth:`ServeService.run_stdio`).
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
+import os
+import sys
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -104,22 +110,31 @@ class _Item:
 
 @dataclass
 class _Connection:
-    """Per-connection delivery state (outbox keeps writes serialised)."""
+    """Per-connection delivery state (outbox keeps writes serialised).
 
-    writer: asyncio.StreamWriter
+    The outbox holds ``(reply, is_result)`` pairs, so the writer can
+    count a predict result as delivered only once it is written.
+    """
+
+    writer: "asyncio.StreamWriter | _StreamWriter"
     outbox: asyncio.Queue = field(default_factory=asyncio.Queue)
     outstanding: set = field(default_factory=set)
     alive: bool = True
     queued: int = 0
 
+    def send(self, reply: dict, result: bool = False) -> None:
+        self.outbox.put_nowait((reply, result))
+
 
 class ServeService:
     """Asyncio front end over a :class:`~repro.serve.supervisor.Supervisor`.
 
-    Construct, then either ``await run(host, port)`` (blocks until a
-    drained shutdown) or drive :meth:`start` / :meth:`stop` directly
-    around a custom server.  ``supervisor`` is injectable for tests — it
-    must provide ``start/stop/dispatch/reload/stats/restarts``.
+    Construct, then either ``await run(host, port)`` (TCP; blocks until
+    a drained shutdown), ``await run_stdio()`` (one session on
+    stdin/stdout; ends at shutdown or EOF) or drive :meth:`start` /
+    :meth:`stop` directly around a custom server.  ``supervisor`` is
+    injectable for tests — it must provide
+    ``start/stop/dispatch/reload/stats/restarts``.
     """
 
     def __init__(self, checkpoint: str | None,
@@ -202,6 +217,35 @@ class ServeService:
             async with server:
                 await self._stopped.wait()
         finally:
+            await self.stop()
+
+    async def run_stdio(self, stdin=None, stdout=None) -> None:
+        """Serve one session on ``stdin``/``stdout`` (default: the sys ones).
+
+        The session runs the same code path as a TCP connection.  Lines
+        are read by a daemon thread, so real pipes and in-memory
+        streams such as :class:`io.StringIO` both work.  ``shutdown``
+        drains and ends it; EOF ends it like a TCP disconnect: requests
+        not yet flushed are dropped once any in-flight batch finishes.
+        An error reading ``stdin`` ends the session and is raised here.
+        """
+        stdin = sys.stdin if stdin is None else stdin
+        if stdin is None:  # the process was started with fd 0 closed
+            raise OSError("no stdin to serve")
+        await self.start()
+        reader = asyncio.StreamReader(limit=self.config.max_line_bytes)
+        flow = _PumpFlow()
+        reader.set_transport(flow)
+        threading.Thread(target=_pump_lines,
+                         args=(stdin, reader, asyncio.get_running_loop(),
+                               flow),
+                         name="serve-stdin", daemon=True).start()
+        writer = _StreamWriter(sys.stdout if stdout is None else stdout)
+        try:
+            await self._handle_connection(reader, writer)
+        finally:
+            self._gate.clear()  # no new batch after the session ends
+            await self._idle.wait()
             await self.stop()
 
     # -- intake ----------------------------------------------------------
@@ -346,20 +390,20 @@ class ServeService:
                 for item in failed])
 
     def _deliver(self, batch: list[_Item], replies: list[dict]) -> None:
-        """Hand each item its reply: outbox, future, and accounting."""
+        """Hand each item its reply: outbox, future, and accounting.
+
+        ``delivered`` is counted by the writer once a result is written;
+        a result whose client is gone, or whose write fails, counts as
+        ``discarded``.
+        """
         for item, reply in zip(batch, replies):
             conn = item.conn
             conn.outstanding.discard(item)
             conn.queued -= 1
             self._queued -= 1
             if conn.alive:
-                self._counters["delivered"] += 1
-                conn.outbox.put_nowait(reply)
+                conn.send(reply, result=True)
             else:
-                # The client vanished before its answer was ready; the
-                # work is complete and the accounting — delivered vs
-                # discarded — is what remains of it (same contract as
-                # the engine loop's FlushDeliveryError).
                 self._counters["discarded"] += 1
             if not item.future.done():
                 item.future.set_result(reply)
@@ -433,15 +477,20 @@ class ServeService:
     # -- connection handling ---------------------------------------------
     async def _writer_loop(self, conn: _Connection) -> None:
         while True:
-            reply = await conn.outbox.get()
-            if reply is None:
+            entry = await conn.outbox.get()
+            if entry is None:
                 return
+            reply, result = entry
             try:
                 conn.writer.write((json.dumps(reply) + "\n").encode())
                 await conn.writer.drain()
             except (ConnectionError, OSError):
                 conn.alive = False
+                if result:
+                    self._counters["discarded"] += 1
                 return
+            if result:
+                self._counters["delivered"] += 1
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
@@ -458,6 +507,10 @@ class ServeService:
                 await asyncio.wait_for(writer_task, timeout=5.0)
             except (TimeoutError, asyncio.CancelledError):
                 writer_task.cancel()
+            while not conn.outbox.empty():  # results the writer never wrote
+                entry = conn.outbox.get_nowait()
+                if entry is not None and entry[1]:
+                    self._counters["discarded"] += 1
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -466,32 +519,29 @@ class ServeService:
 
     async def _session(self, conn: _Connection,
                        reader: asyncio.StreamReader) -> None:
-        """One connection's read loop; malformed traffic only kills it."""
+        """One connection's read loop; a malformed line costs only itself."""
         while True:
             try:
-                line = await reader.readline()
-            except (asyncio.LimitOverrunError, ValueError):
-                # The line outgrew the stream limit; the framing is gone,
-                # so end this session (and only this session).
-                conn.outbox.put_nowait(
-                    {"ok": False,
-                     "error": f"request line exceeds "
-                              f"{self.config.max_line_bytes} bytes"})
-                return
+                line = await _read_line(reader)
+            except ConnectionError:
+                return  # the client's socket broke: a disconnect
+            if line is None:
+                conn.send({"ok": False,
+                           "error": f"request line exceeds "
+                                    f"{self.config.max_line_bytes} bytes"})
+                continue
             if not line:
                 return
             if not line.strip():
                 continue
             try:
                 payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                conn.outbox.put_nowait(
-                    {"ok": False, "error": f"invalid JSON: {exc}"})
+            except ValueError as exc:  # bad JSON, or bytes that are not text
+                conn.send({"ok": False, "error": f"invalid JSON: {exc}"})
                 continue
             if not isinstance(payload, dict):
-                conn.outbox.put_nowait(
-                    {"ok": False,
-                     "error": "request must be a JSON object"})
+                conn.send({"ok": False,
+                           "error": "request must be a JSON object"})
                 continue
             if not await self._handle_op(conn, payload):
                 return
@@ -502,51 +552,145 @@ class ServeService:
         request_id = payload.get("id")
         version_error = protocol_version_error(payload)
         if version_error is not None:
-            conn.outbox.put_nowait({"ok": False, "id": request_id,
-                                    "error": version_error})
+            conn.send({"ok": False, "id": request_id,
+                       "error": version_error})
             return True
         if op == "predict":
-            conn.outbox.put_nowait(self._admit_predict(conn, payload))
+            conn.send(self._admit_predict(conn, payload))
         elif op == "flush":
             self._force_all()
             pending = [item.future for item in list(conn.outstanding)]
             if pending:
                 await asyncio.wait(pending)
-            conn.outbox.put_nowait({"ok": True, "status": "flushed",
-                                    "count": len(pending)})
+            conn.send({"ok": True, "status": "flushed",
+                       "count": len(pending)})
         elif op == "stats":
             stats = self._stats()
             if payload.get("workers"):
                 loop = asyncio.get_running_loop()
                 stats["workers"] = await loop.run_in_executor(
                     None, self.supervisor.stats)
-            conn.outbox.put_nowait({"ok": True, "stats": stats,
-                                    "server": server_identity("service")})
+            conn.send({"ok": True, "stats": stats,
+                       "server": server_identity()})
         elif op == "ping":
-            conn.outbox.put_nowait({"ok": True, "status": "pong",
-                                    "server": server_identity("service")})
+            conn.send({"ok": True, "status": "pong",
+                       "server": server_identity()})
         elif op == "reload":
             error = self._admin_error(payload)
             checkpoint = payload.get("checkpoint")
             if error is None and not checkpoint:
                 error = "reload needs a 'checkpoint' path"
             if error is not None:
-                conn.outbox.put_nowait({"ok": False, "id": request_id,
-                                        "error": error})
+                conn.send({"ok": False, "id": request_id, "error": error})
             else:
-                conn.outbox.put_nowait(await self._reload(checkpoint))
+                conn.send(await self._reload(checkpoint))
         elif op == "shutdown":
             error = self._admin_error(payload)
             if error is not None:
-                conn.outbox.put_nowait({"ok": False, "id": request_id,
-                                        "error": error})
+                conn.send({"ok": False, "id": request_id, "error": error})
                 return True
             drained = await self._drain()
-            conn.outbox.put_nowait({"ok": True, "status": "shutting down",
-                                    "drained": drained})
+            conn.send({"ok": True, "status": "shutting down",
+                       "drained": drained})
             self._stopped.set()
             return False
         else:
-            conn.outbox.put_nowait({"ok": False, "id": request_id,
-                                    "error": f"unknown op {op!r}"})
+            conn.send({"ok": False, "id": request_id,
+                       "error": f"unknown op {op!r}"})
         return True
+
+
+class _StreamWriter:
+    """The slice of :class:`asyncio.StreamWriter` a session writes
+    through, over a blocking text stream (stdout)."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def write(self, data: bytes) -> None:
+        self._stream.write(data.decode())
+        self._stream.flush()
+
+    async def drain(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass  # the stream belongs to the caller
+
+    async def wait_closed(self) -> None:
+        pass
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next line (``b""`` at EOF), or None for a line over the limit.
+
+    An over-long line is consumed through its newline, so the next read
+    starts on the next request and the session keeps its framing.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial  # EOF, possibly after an unterminated line
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+
+
+class _PumpFlow:
+    """The transport half a :class:`asyncio.StreamReader` pauses and
+    resumes; here it holds the stdin pump thread, so a session busy in
+    ``flush`` buffers about twice its line limit, not all of stdin."""
+
+    def __init__(self):
+        self.open = threading.Event()
+        self.open.set()
+
+    def pause_reading(self) -> None:
+        self.open.clear()
+
+    def resume_reading(self) -> None:
+        self.open.set()
+
+
+def _stream_chunks(stream):
+    """``stream``'s bytes, chunk by chunk, until EOF.
+
+    A stream with a file descriptor is read with ``os.read``, which
+    holds no lock of the stream object, so a thread still blocked on
+    an open pipe cannot wedge interpreter exit after ``shutdown``.
+    """
+    try:
+        fd = stream.fileno()
+    except (OSError, ValueError):  # io.StringIO and other fd-less streams
+        for line in stream:
+            yield line.encode()
+    else:
+        yield from iter(functools.partial(os.read, fd, 1 << 16), b"")
+
+
+def _pump_lines(stream, reader: asyncio.StreamReader, loop,
+                flow: _PumpFlow) -> None:
+    """Thread body: copy ``stream`` into ``reader`` until EOF.
+
+    A read error (a closed or missing stdin, say) is handed to the
+    session, which raises it.
+    """
+    try:
+        try:
+            for chunk in _stream_chunks(stream):
+                loop.call_soon_threadsafe(reader.feed_data, chunk)
+                flow.open.wait()
+        except Exception as exc:  # the session raises it from its read
+            loop.call_soon_threadsafe(reader.set_exception, exc)
+        else:
+            loop.call_soon_threadsafe(reader.feed_eof)
+    except RuntimeError:
+        pass  # the loop closed first: the session ended on shutdown

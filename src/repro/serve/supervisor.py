@@ -95,26 +95,34 @@ def _build_stack(spec: WorkerSpec):
 def _predict_batch(engine: InferenceEngine, resolver, payloads) -> list:
     """Answer one batch of predict payloads with per-request replies.
 
-    Invalid payloads become per-request error replies without polluting
-    the batch; the valid remainder shares the engine's micro-batched
-    flush.  Reply order matches payload order.
+    A payload that fails to resolve or submit — for any reason — becomes
+    its own error reply without polluting the batch; the valid remainder
+    shares the engine's micro-batched flush.  Reply order matches payload
+    order, and the engine queue is empty whenever this returns or
+    raises, so no request can outlive its batch and be answered with a
+    later batch's slot.
     """
     replies: list = [None] * len(payloads)
     queued: list[int] = []
-    for i, payload in enumerate(payloads):
-        request_id = payload.get("id")
-        try:
-            design = resolver.resolve(payload)
-            engine.submit(PredictRequest(
-                design=design, channel=payload.get("channel", "h"),
-                request_id=request_id))
-            queued.append(i)
-        except (ValueError, TypeError) as exc:
-            replies[i] = {"ok": False, "id": request_id,
-                          "status": "failed", "error": str(exc)}
-    for i, result in zip(queued, engine.flush()):
-        replies[i] = {"ok": True, "id": result.request_id,
-                      "result": result.to_json()}
+    try:
+        for i, payload in enumerate(payloads):
+            request_id = payload.get("id")
+            try:
+                design = resolver.resolve(payload)
+                engine.submit(PredictRequest(
+                    design=design, channel=payload.get("channel", "h"),
+                    request_id=request_id))
+                queued.append(i)
+            except Exception as exc:
+                error = (str(exc) if isinstance(exc, (ValueError, TypeError))
+                         else f"{type(exc).__name__}: {exc}")
+                replies[i] = {"ok": False, "id": request_id,
+                              "status": "failed", "error": error}
+        for i, result in zip(queued, engine.flush()):
+            replies[i] = {"ok": True, "id": result.request_id,
+                          "result": result.to_json()}
+    finally:
+        engine.discard_pending()
     return replies
 
 

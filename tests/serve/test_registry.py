@@ -115,12 +115,13 @@ class TestSaveRestore:
         assert restored.config.hidden == 8
 
     def test_legacy_checkpoint_with_channels(self, rng, tmp_path):
-        # Pre-registry layout: plain save_checkpoint + 'channels' key.
+        # Pre-registry layout (plain save_checkpoint + a flat 'channels'
+        # key): refused, not restored by guessing the architecture.
         model = LHNN(LHNNConfig(channels=2), rng)
         path = save_checkpoint(model, str(tmp_path / "legacy.npz"),
                                metadata={"channels": 2})
-        restored, _ = restore_model(path)
-        assert restored.config.channels == 2
+        with pytest.raises(CheckpointError, match="no architecture"):
+            restore_model(path)
 
     def test_legacy_checkpoint_without_metadata(self, rng, tmp_path):
         model = MLPBaseline(rng=rng)

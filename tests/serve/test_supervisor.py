@@ -13,11 +13,14 @@ from repro.models.mlp_baseline import MLPBaseline
 from repro.pipeline import PipelineConfig
 from repro.placement import PlacementConfig
 from repro.routing import RouterConfig
-from repro.serve import (ServeConfig, Supervisor, WorkerCrashed,
-                         WorkerError, WorkerSpec, save_model)
+from repro.serve import (DesignResolver, InferenceEngine, ServeConfig,
+                         Supervisor, WorkerCrashed, WorkerError, WorkerSpec,
+                         save_model)
+from repro.serve.supervisor import _predict_batch
 
 SPEC_A = {"name": "sup-a", "seed": 3, "num_movable": 60, "die_size": 32.0}
 SPEC_B = {"name": "sup-b", "seed": 4, "num_movable": 60, "die_size": 32.0}
+SPEC_C = {"name": "sup-c", "seed": 5, "num_movable": 60, "die_size": 32.0}
 
 
 def small_pipeline():
@@ -85,6 +88,43 @@ class TestDispatch:
     def test_dispatch_before_start(self, spec):
         with pytest.raises(RuntimeError, match="before start"):
             Supervisor(spec, num_workers=1).dispatch(0, "ping")
+
+
+class ExplodingResolver(DesignResolver):
+    """Raises a non-ValueError for one request id, like a generator bug."""
+
+    def __init__(self, config, poison_id):
+        super().__init__(config)
+        self.poison_id = poison_id
+
+    def resolve(self, payload):
+        if payload.get("id") == self.poison_id:
+            raise RuntimeError("resolver blew up")
+        return super().resolve(payload)
+
+
+class TestPredictBatch:
+    """The worker's batch function, in-process (no worker processes)."""
+
+    def test_unexpected_error_stays_with_its_request(self, tmp_path):
+        engine = InferenceEngine(
+            MLPBaseline(hidden=8, rng=np.random.default_rng(0)),
+            ServeConfig(pipeline=small_pipeline(),
+                        cache_dir=str(tmp_path / "cache")))
+        resolver = ExplodingResolver(small_pipeline(), poison_id=2)
+        replies = _predict_batch(engine, resolver, [
+            {"id": 1, "spec": SPEC_A}, {"id": 2, "spec": SPEC_B}])
+        assert [r["id"] for r in replies] == [1, 2]
+        assert replies[0]["ok"]
+        assert replies[0]["result"]["name"] == "sup-a"
+        assert replies[1]["status"] == "failed"
+        assert "RuntimeError: resolver blew up" in replies[1]["error"]
+        assert engine.pending == 0
+        # The next batch gets its own answer, not a leftover's.
+        [reply] = _predict_batch(engine, resolver,
+                                 [{"id": 3, "spec": SPEC_C}])
+        assert reply["id"] == 3
+        assert reply["result"]["name"] == "sup-c"
 
 
 class TestCrashRecovery:

@@ -157,16 +157,14 @@ class TestModelRestore:
 
     def test_restore_uni_and_duo(self, tmp_path):
         from repro.models.lhnn import LHNN, LHNNConfig
-        from repro.nn.serialize import save_checkpoint
-        from repro.serve.registry import restore_model
+        from repro.serve.registry import restore_model, save_model
         for channels in (1, 2):
             model = LHNN(LHNNConfig(channels=channels),
                          np.random.default_rng(0))
-            path = save_checkpoint(model, str(tmp_path / f"c{channels}.npz"),
-                                   metadata={"channels": channels})
+            path = save_model(model, str(tmp_path / f"c{channels}.npz"))
             restored, meta = restore_model(path)
             assert restored.config.channels == channels
-            assert meta["channels"] == channels
+            assert meta["model"]["config"]["channels"] == channels
 
     def test_restore_registry_checkpoint(self, tmp_path):
         from repro.models.related import GridSAGE
@@ -207,6 +205,7 @@ class TestServeCommand:
         args = cli._build_parser().parse_args(
             ["serve", "--checkpoint", "c"])
         assert args.port is None
+        assert args.workers == 1
         assert args.max_batch == 8
         assert args.suite == "superblue"
 
@@ -217,6 +216,28 @@ class TestServeCommand:
     def test_missing_checkpoint_fails_cleanly(self, capsys):
         assert cli.main(["serve", "--checkpoint", "/nope/absent.npz"]) == 2
         assert "serve failed" in capsys.readouterr().err
+
+    def test_checkpoint_without_architecture_fails_cleanly(self, capsys,
+                                                           tmp_path):
+        # Refused before any worker is spawned to crash-loop on it.
+        from repro.models.mlp_baseline import MLPBaseline
+        from repro.nn.serialize import save_checkpoint
+        path = save_checkpoint(MLPBaseline(hidden=8,
+                                           rng=np.random.default_rng(0)),
+                               str(tmp_path / "bare.npz"))
+        assert cli.main(["serve", "--checkpoint", path]) == 2
+        assert "no architecture metadata" in capsys.readouterr().err
+
+    def test_unknown_family_checkpoint_fails_cleanly(self, capsys,
+                                                     tmp_path):
+        from repro.models.mlp_baseline import MLPBaseline
+        from repro.nn.serialize import save_checkpoint
+        path = save_checkpoint(
+            MLPBaseline(hidden=8, rng=np.random.default_rng(0)),
+            str(tmp_path / "alien.npz"),
+            metadata={"model": {"family": "alien", "config": {}}})
+        assert cli.main(["serve", "--checkpoint", path]) == 2
+        assert "unknown model family 'alien'" in capsys.readouterr().err
 
     def test_stdin_session_end_to_end(self, capsys, monkeypatch, tmp_path):
         import io
