@@ -20,7 +20,7 @@ import os
 import pytest
 
 from repro.data import CongestionDataset
-from repro.pipeline import PipelineConfig, prepare_suite
+from repro.pipeline import PipelineConfig, prepare_workload
 
 ARTIFACTS = os.path.join(os.path.dirname(__file__), "..", "artifacts")
 
@@ -51,7 +51,7 @@ def pipeline_config() -> PipelineConfig:
 @pytest.fixture(scope="session")
 def suite_graphs(pipeline_config):
     """The 15 labelled LH-graphs (≈45 s cold, instant when cached)."""
-    return prepare_suite(pipeline_config, verbose=True)
+    return prepare_workload("superblue", pipeline_config, verbose=True)
 
 
 @pytest.fixture(scope="session")

@@ -5,14 +5,15 @@ footer and verifies it on read.  The verification budget is ≤10%
 overhead on *warm* loads: the store checks each blob's digest once per
 process and then skips the re-hash while the file's stat signature
 (size, mtime_ns, inode) is unchanged, so steady-state warm reads cost
-the same as unverified legacy reads while on-disk corruption is still
-caught on first contact.
+the same as unverified reads while on-disk corruption is still caught
+on first contact.
 
-Raw baselines are legacy **unframed** blobs (the pre-store format),
-read through the same ``StageCache.load`` path — the measured gap is
-exactly the framing + verification machinery.  Timings are
-batch-amortised best-of-N, so microsecond-scale jitter does not decide
-the gate.
+The raw baseline reads the *same* framed file with the same
+:func:`repro.store.read_bytes` primitive, drops the footer and
+unpickles the payload with no check — the measured gap is exactly the
+``StageCache.load`` / ``BlobStore.get`` verification machinery.
+Timings are batch-amortised best-of-N, so microsecond-scale jitter does
+not decide the gate.
 
 Writes ``BENCH_store.json`` (schema ``repro-bench-store-v1``) next to
 ``BENCH_nn.json`` / ``BENCH_serve.json``; the nightly CI job validates
@@ -37,6 +38,7 @@ from repro.pipeline import (PipelineConfig, StageCache, prepare_design,
                             stage_keys_for)
 from repro.placement import PlacementConfig
 from repro.routing import RouterConfig
+from repro.store import FOOTER_BYTES, read_bytes
 
 pytestmark = pytest.mark.slow
 
@@ -65,8 +67,8 @@ def _store_bench_report():
             BENCH_STORE_PATH, _ENTRIES,
             context={"source": "benchmarks/test_store_overhead.py",
                      "batch": BATCH, "rounds": ROUNDS,
-                     "raw_baseline": "legacy unframed blob via the same "
-                                     "StageCache.load path"})
+                     "raw_baseline": "same framed file, footer dropped "
+                                     "and payload unpickled unverified"})
         load_store_bench_report(path)  # never upload an invalid artifact
 
 
@@ -75,36 +77,38 @@ def cache(tmp_path_factory):
     return StageCache(str(tmp_path_factory.mktemp("store-bench")))
 
 
-def _legacy_twin(cache: StageCache, key: str, obj) -> str:
-    """Store ``obj`` under a sibling key as a legacy *unframed* blob."""
-    legacy_key = ("f" * 8 + key)[:len(key)]
-    path = cache._path(legacy_key)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "wb") as handle:
-        handle.write(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-    return legacy_key
+def _raw_load(path: str):
+    """The unverified baseline: read the framed file, unpickle its payload."""
+    return pickle.loads(read_bytes(path)[:-FOOTER_BYTES])
 
 
-def _best_per_load(cache: StageCache, key: str) -> float:
-    assert cache.load(key) is not None  # warm-up (and first-contact verify)
-    best = float("inf")
+def _best_per_load(*loads) -> list[float]:
+    """Best-of-``ROUNDS`` time per load for each callable.
+
+    The callables take turns within every round, so drift on a shared
+    host hits the verified and the raw side alike.
+    """
+    for load in loads:
+        assert load() is not None  # warm-up (and first-contact verify)
+    best = [float("inf")] * len(loads)
     for _ in range(ROUNDS):
-        start = time.perf_counter()
-        for _ in range(BATCH):
-            cache.load(key)
-        best = min(best, time.perf_counter() - start)
-    return best / BATCH
+        for i, load in enumerate(loads):
+            start = time.perf_counter()
+            for _ in range(BATCH):
+                load()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return [b / BATCH for b in best]
 
 
-def _bench_entry(cache: StageCache, key: str, obj) -> dict:
-    legacy_key = _legacy_twin(cache, key, obj)
-    verified = _best_per_load(cache, key)
-    raw = _best_per_load(cache, legacy_key)
+def _bench_entry(cache: StageCache, key: str) -> dict:
+    path = cache._path(key)
+    verified, raw = _best_per_load(lambda: cache.load(key),
+                                   lambda: _raw_load(path))
     return {
         "raw_read_s": raw,
         "verified_read_s": verified,
         "overhead_ratio": verified / raw,
-        "payload_bytes": os.path.getsize(cache._path(legacy_key)),
+        "payload_bytes": os.path.getsize(path) - FOOTER_BYTES,
     }
 
 
@@ -118,10 +122,7 @@ class TestWarmLoadOverhead:
         design = superblue_suite(scale=0.15)[0]
         prepare_design(design, config, cache=cache)
         key = stage_keys_for(design, config)["graph"]
-        graph = cache.load(key)
-        assert graph is not None
-
-        entry = _bench_entry(cache, key, graph)
+        entry = _bench_entry(cache, key)
         _ENTRIES["stage_graph_load"] = entry
         print(f"\n[store] graph product ({entry['payload_bytes']} B): "
               f"raw {entry['raw_read_s'] * 1e6:.0f}us, verified "
@@ -140,7 +141,7 @@ class TestWarmLoadOverhead:
         payload = np.random.default_rng(0).random((1024, 512))
         cache.store(key, payload)
 
-        entry = _bench_entry(cache, key, payload)
+        entry = _bench_entry(cache, key)
         _ENTRIES["large_array_load"] = entry
         print(f"\n[store] 4MB ndarray: raw "
               f"{entry['raw_read_s'] * 1e6:.0f}us, verified "

@@ -27,14 +27,14 @@ from repro.data import CongestionDataset
 from repro.eval import comparison_panel
 from repro.features import compute_gnets, rudy_map
 from repro.nn import Tensor, no_grad
-from repro.pipeline import PipelineConfig, prepare_suite
+from repro.pipeline import PipelineConfig, prepare_workload
 from repro.train import TrainConfig, f1_score, fit
 from repro.train.metrics import evaluate_binary
 
 
 def main() -> None:
     print("== preparing suite (cached after first run) ==")
-    graphs = prepare_suite(PipelineConfig(), verbose=False)
+    graphs = prepare_workload("superblue", PipelineConfig())
     dataset = CongestionDataset(graphs, channels=1)
 
     # Hold out the most congested test design as "the design being placed".

@@ -33,11 +33,11 @@ __version__ = "1.0.0"
 
 from . import api, circuit, data, eval, features, graph, models, nn, perf
 from . import placement, routing, train
-from .pipeline import PipelineConfig, prepare_design, prepare_suite
+from .pipeline import PipelineConfig, prepare_design
 
 __all__ = [
     "api", "circuit", "data", "eval", "features", "graph", "models", "nn",
     "perf", "placement", "routing", "train",
-    "PipelineConfig", "prepare_design", "prepare_suite",
+    "PipelineConfig", "prepare_design",
     "__version__",
 ]

@@ -25,9 +25,8 @@ subcommands are thin shells over this module; see
 """
 
 from .experiment import (RESULT_SCHEMA, ExperimentResult,
-                         find_result_manifest, iter_result_manifests,
-                         load_dataset, run_experiment,
-                         validate_result_manifest)
+                         find_result_manifest, load_dataset,
+                         run_experiment, validate_result_manifest)
 from .spec import (ComputeSpec, ExperimentSpec, ModelSpec, OutputSpec,
                    SpecError, TrainSpec, WorkloadSpec, apply_overrides,
                    dumps_spec, load_spec, spec_fingerprint, spec_from_dict,
@@ -40,5 +39,5 @@ __all__ = [
     "apply_overrides", "spec_fingerprint",
     "run_experiment", "ExperimentResult", "load_dataset",
     "RESULT_SCHEMA", "validate_result_manifest",
-    "find_result_manifest", "iter_result_manifests",
+    "find_result_manifest",
 ]

@@ -35,7 +35,7 @@ from .spec import (ExperimentSpec, SpecError, spec_fingerprint, spec_to_dict)
 
 __all__ = ["ExperimentResult", "run_experiment", "load_dataset",
            "RESULT_SCHEMA", "validate_result_manifest",
-           "find_result_manifest", "iter_result_manifests"]
+           "find_result_manifest"]
 
 #: Schema tag of the result-manifest JSON written per experiment.
 RESULT_SCHEMA = "repro-experiment-v1"
@@ -155,40 +155,14 @@ def validate_result_manifest(manifest: dict) -> dict:
     return manifest
 
 
-def iter_result_manifests(artifacts_dir: str):
-    """Yield ``(path, manifest_dict)`` for every parsable result manifest.
-
-    Walks ``<artifacts_dir>/experiments/*.json`` — fingerprint-named
-    files and legacy ``<name>.json`` files alike (manifests written
-    before the fingerprint-derived naming scheme carry their fingerprint
-    *inside*, so identity never depends on the filename).  Unparsable
-    files and sweep-level manifests are skipped; no schema validation
-    happens here, callers decide how strict to be.
-    """
-    import glob
-    for path in sorted(glob.glob(
-            os.path.join(artifacts_dir, "experiments", "*.json"))):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except (OSError, ValueError):
-            continue
-        if isinstance(manifest, dict) and \
-                manifest.get("schema") == RESULT_SCHEMA:
-            yield path, manifest
-
-
 def find_result_manifest(artifacts_dir: str, fingerprint: str
                          ) -> tuple[str, dict] | None:
-    """Locate the result manifest for ``fingerprint``; ``None`` if absent.
+    """Read the result manifest for ``fingerprint``; ``None`` if absent.
 
-    Checks the canonical fingerprint-derived path
-    ``experiments/<fingerprint>.json`` first, then falls back to
-    scanning every manifest in the directory for a matching embedded
-    ``fingerprint`` — the back-compat path for manifests written under
-    the old ``<name>.json`` scheme.  Returns ``(path, manifest)``
-    unvalidated; run :func:`validate_result_manifest` on the result
-    before trusting it.
+    Manifests live only at ``experiments/<fingerprint>.json``.  A file
+    there that does not parse comes back as ``(path, {})`` so the caller
+    can quarantine it.  Returns ``(path, manifest)`` unvalidated; run
+    :func:`validate_result_manifest` on the result before trusting it.
     """
     canonical = os.path.join(artifacts_dir, "experiments",
                              f"{fingerprint}.json")
@@ -196,16 +170,9 @@ def find_result_manifest(artifacts_dir: str, fingerprint: str
         with open(canonical, "r", encoding="utf-8") as fh:
             return canonical, json.load(fh)
     except OSError:
-        pass
+        return None
     except ValueError:
-        # Exists but does not parse: corrupt.  Surface it through the
-        # canonical path so the caller can quarantine rather than
-        # silently matching a legacy file for the same fingerprint.
         return canonical, {}
-    for path, manifest in iter_result_manifests(artifacts_dir):
-        if manifest.get("fingerprint") == fingerprint:
-            return path, manifest
-    return None
 
 
 def run_experiment(spec: ExperimentSpec, *,

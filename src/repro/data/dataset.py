@@ -155,8 +155,8 @@ class CongestionDataset:
     Parameters
     ----------
     graphs:
-        Labelled LH-graphs from :func:`repro.pipeline.prepare_suite`, or
-        any lazy sequence of them — e.g. the
+        Labelled LH-graphs from :func:`repro.pipeline.prepare_workload`,
+        or any lazy sequence of them — e.g. the
         :class:`~repro.pipeline.cache.ManifestGraphs` view returned by
         ``prepare_workload(..., lazy=True)``.  Lists are validated
         eagerly; lazy sequences are validated per graph on first access,

@@ -6,24 +6,19 @@ header describing the architecture for sanity checks at load time.
 
 Durability (via :mod:`repro.store` primitives):
 
-* **Atomic save** — the archive is built in memory and lands on disk
-  through tmp + fsync + rename, so a crash mid-save leaves the previous
-  checkpoint intact, never a torn file.
-* **Checksum sidecar** — ``<file>.sha256`` records the archive's size
-  and SHA-256.  A footer *inside* the file would break the zip
-  end-of-central-directory scan, so checkpoints use a sidecar where
-  pickled blobs use an in-file footer.  On read, a digest mismatch at
-  matching size raises a :class:`CheckpointError` with
-  ``corrupt=True`` (the signal :mod:`repro.serve.registry` uses to
-  quarantine); a size mismatch means a stale sidecar and is skipped —
-  truncation is still caught structurally by the zip CRC.
+* **Atomic save** — the archive is built in memory, framed with the
+  store's ``RPRBLOB1`` checksum footer and lands on disk in one
+  tmp + fsync + rename, so a crash mid-save leaves the previous
+  checkpoint intact, never a torn or unverifiable file.
+* **Verified read** — a missing or mismatched footer raises a
+  :class:`CheckpointError` with ``corrupt=True`` (the signal
+  :mod:`repro.serve.registry` uses to quarantine).
 * **Transient-read retry** — ``EIO``-class errors during the read are
   retried with bounded backoff before surfacing.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
@@ -31,12 +26,13 @@ import zipfile
 
 import numpy as np
 
-from ..store.blobs import atomic_write_bytes, read_bytes
+from ..store.blobs import (BlobCorruptError, atomic_write_bytes,
+                           frame_blob, read_bytes, unframe_blob)
 from ..testing.faults import current_injector
 from .layers import Module
 
-__all__ = ["save_checkpoint", "load_checkpoint", "read_checkpoint_header",
-           "CheckpointError", "checkpoint_sidecar_path"]
+__all__ = ["save_checkpoint", "load_checkpoint", "read_checkpoint",
+           "read_checkpoint_header", "CheckpointError"]
 
 _HEADER_KEY = "__repro_header__"
 
@@ -55,20 +51,16 @@ class CheckpointError(RuntimeError):
         self.corrupt = corrupt
 
 
-def checkpoint_sidecar_path(path: str) -> str:
-    """The checksum sidecar path for a checkpoint file."""
-    return path + ".sha256"
-
-
 def save_checkpoint(model: Module, path: str,
                     metadata: dict | None = None) -> str:
     """Write ``model``'s parameters (and optional metadata) to ``path``.
 
     The file is a standard ``.npz``; parameter names become array keys
     (dots replaced since npz keys allow them as-is) and a JSON header
-    records parameter count and user metadata.  The write is atomic
-    (tmp + fsync + rename) and followed by a ``.sha256`` sidecar, so an
-    interrupted save never destroys the previous checkpoint.
+    records parameter count and user metadata.  The archive carries the
+    store's checksum footer and the write is atomic (tmp + fsync +
+    rename), so an interrupted save never destroys the previous
+    checkpoint.
     """
     state = model.state_dict()
     header = {
@@ -85,20 +77,10 @@ def save_checkpoint(model: Module, path: str,
     final = path if path.endswith(".npz") else path + ".npz"
     buf = io.BytesIO()
     np.savez_compressed(buf, **payload)
-    data = buf.getvalue()
     directory = os.path.dirname(os.path.abspath(final))
     os.makedirs(directory, exist_ok=True)
-    atomic_write_bytes(final, data, faults=current_injector(),
-                       point="checkpoint.write")
-    sidecar = json.dumps({
-        "size": len(data),
-        "sha256": hashlib.sha256(data).hexdigest(),
-    }, sort_keys=True).encode()
-    # Sidecar lands *after* the archive: a crash between the two leaves
-    # a stale (size-mismatched) sidecar, which readers skip.
-    atomic_write_bytes(checkpoint_sidecar_path(final), sidecar,
-                       faults=current_injector(),
-                       point="checkpoint.write")
+    atomic_write_bytes(final, frame_blob(buf.getvalue()),
+                       faults=current_injector(), point="checkpoint.write")
     return final
 
 
@@ -106,27 +88,6 @@ def _resolve_path(path: str) -> str:
     if not os.path.exists(path) and os.path.exists(path + ".npz"):
         return path + ".npz"
     return path
-
-
-def _verify_sidecar(path: str, data: bytes) -> None:
-    """Check ``data`` against the ``.sha256`` sidecar, if one matches.
-
-    No sidecar ⇒ legacy checkpoint, read unverified.  Size mismatch ⇒
-    the sidecar is stale (crash between archive and sidecar writes) and
-    is ignored — a *truncated archive* still fails the zip CRC check.
-    Same size but different digest ⇒ bit rot: corrupt.
-    """
-    sidecar = checkpoint_sidecar_path(path)
-    try:
-        with open(sidecar) as handle:
-            record = json.load(handle)
-    except (OSError, ValueError):
-        return
-    if int(record.get("size", -1)) != len(data):
-        return
-    if record.get("sha256") != hashlib.sha256(data).hexdigest():
-        raise CheckpointError(
-            f"{path}: checksum mismatch against {sidecar}", corrupt=True)
 
 
 def _read_archive(path: str,
@@ -149,17 +110,16 @@ def _read_archive(path: str,
     except OSError as exc:
         raise CheckpointError(
             f"{path}: unreadable checkpoint ({exc})") from exc
-    _verify_sidecar(path, data)
     try:
-        with np.load(io.BytesIO(data)) as archive:
+        with np.load(io.BytesIO(unframe_blob(data))) as archive:
             if _HEADER_KEY not in archive:
                 raise CheckpointError(f"{path}: not a repro checkpoint")
             header = json.loads(
                 bytes(archive[_HEADER_KEY].tobytes()).decode())
             state = ({k: archive[k] for k in archive.files
                       if k != _HEADER_KEY} if with_state else None)
-    except (zipfile.BadZipFile, OSError, ValueError, EOFError,
-            json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (BlobCorruptError, zipfile.BadZipFile, OSError, ValueError,
+            EOFError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(
             f"{path}: unreadable checkpoint ({exc})",
             corrupt=True) from exc
@@ -167,6 +127,17 @@ def _read_archive(path: str,
         raise CheckpointError(f"{path}: unknown format "
                               f"{header.get('format')!r}")
     return header, state
+
+
+def read_checkpoint(path: str) -> tuple[dict, dict]:
+    """Read a checkpoint's ``(header, state)`` in one verified read.
+
+    For callers that build the model from the header before loading the
+    state (:func:`repro.serve.registry.restore_model`): architecture and
+    weights then come from the same bytes even if the file is replaced
+    concurrently.
+    """
+    return _read_archive(_resolve_path(path))
 
 
 def read_checkpoint_header(path: str) -> dict:

@@ -17,11 +17,9 @@ from a sequential monolith into a staged pipeline package:
   superblue, macro-heavy and hotspot scenario families, Bookshelf
   directory loader) behind ``repro.cli prepare --suite NAME``.
 
-The historical API (:func:`prepare_suite`, :func:`prepare_design`,
-:class:`PipelineConfig`, :func:`default_cache_dir`) is preserved; since
-routing dominates preparation time, results remain cached on disk, now
-per design and per stage — changing the router config no longer
-re-places, and an interrupted run resumes where it stopped.
+Since routing dominates preparation time, results are cached on disk
+per design and per stage: changing the router config does not re-place,
+and an interrupted run resumes where it stopped.
 """
 
 from __future__ import annotations
@@ -32,17 +30,15 @@ from ..circuit.generator import superblue_suite  # noqa: F401
 from .cache import (ManifestEntry, ManifestGraphs, StageCache, SuiteManifest,
                     default_cache_dir, design_fingerprint)
 from .config import SCHEMA_VERSION, PipelineConfig, fingerprint_of
-from .runner import (prepare_design, prepare_designs, prepare_suite,
-                     prepare_workload, stage_keys_for)
+from .runner import (prepare_design, prepare_designs, prepare_workload,
+                     stage_keys_for)
 from .stages import (PlacementProduct, RoutingProduct, STAGE_CALLS,
                      derive_placement_seed, reset_stage_calls)
 from .workloads import (Workload, get_workload, list_workloads,
                         load_workload, register_workload)
 
 __all__ = [
-    # historical surface
-    "PipelineConfig", "prepare_design", "prepare_suite", "default_cache_dir",
-    # staged pipeline
+    "PipelineConfig", "prepare_design", "default_cache_dir",
     "SCHEMA_VERSION", "fingerprint_of", "design_fingerprint",
     "StageCache", "SuiteManifest", "ManifestEntry", "ManifestGraphs",
     "PlacementProduct", "RoutingProduct", "STAGE_CALLS", "reset_stage_calls",

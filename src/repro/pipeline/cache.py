@@ -78,7 +78,7 @@ def design_fingerprint(design: Design) -> str:
 
 #: Exceptions that mean "this pickle payload cannot become an object".
 #: The bytes already passed their checksum, so these indicate schema
-#: drift or a legacy (pre-checksum) blob that rotted on disk.
+#: drift: a class renamed or removed since the blob was written.
 _UNPICKLE_ERRORS = (pickle.UnpicklingError, EOFError, AttributeError,
                     ImportError, IndexError)
 

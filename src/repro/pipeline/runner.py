@@ -3,9 +3,8 @@
 The runner ties the pieces together:
 
 * :func:`prepare_design` — one design through place → route → graph with
-  per-stage content-addressed caching (and the historical signature as a
-  backward-compatible shim; the input design is **no longer mutated** by
-  default, pass ``in_place=True`` for the old behaviour),
+  per-stage content-addressed caching (the input design is never
+  mutated),
 * :func:`prepare_designs` — a list of designs, sequentially or across a
   ``ProcessPoolExecutor`` (``workers=N``); per-design placement seeds are
   derived deterministically, so any worker count produces bit-identical
@@ -13,9 +12,7 @@ The runner ties the pieces together:
 * :func:`prepare_workload` — look a workload up in the registry
   (:mod:`repro.pipeline.workloads`), prepare it, persist a
   :class:`~repro.pipeline.cache.SuiteManifest` and hand back either the
-  graph list or the lazy :class:`~repro.pipeline.cache.ManifestGraphs`,
-* :func:`prepare_suite` — the historical 15-design entry point, now a
-  thin wrapper over the above.
+  graph list or the lazy :class:`~repro.pipeline.cache.ManifestGraphs`.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from .stages import (GRAPH_STAGE, PLACE_STAGE, ROUTE_STAGE,
                      run_route_stage)
 
 __all__ = ["prepare_design", "prepare_designs", "prepare_workload",
-           "prepare_suite", "stage_keys_for"]
+           "stage_keys_for"]
 
 
 def _resolve_cache(config: PipelineConfig,
@@ -71,7 +68,6 @@ class _PreparedDesign:
 
     graph: LHGraph
     entry: ManifestEntry
-    placed: Design | None = None
 
 
 #: Poll interval while waiting on another worker's in-progress lease.
@@ -118,7 +114,6 @@ def _locked_compute(cache: StageCache, key: str, stage: str,
 
 
 def _prepare_one(design: Design, config: PipelineConfig, cache: StageCache,
-                 in_place: bool = False,
                  design_fp: str | None = None) -> _PreparedDesign:
     """Run (or load) the three stages for one design."""
     fp = design_fp or design_fingerprint(design)
@@ -136,10 +131,10 @@ def _prepare_one(design: Design, config: PipelineConfig, cache: StageCache,
         )
 
     graph = cache.load(keys["graph"])
-    if graph is not None and not in_place:
+    if graph is not None:
         return _PreparedDesign(graph=graph, entry=entry_for(graph))
 
-    target = design if in_place else design.copy()
+    target = design.copy()
     placement = cache.load(keys["place"])
     if placement is None:
         placed_here = []
@@ -156,10 +151,6 @@ def _prepare_one(design: Design, config: PipelineConfig, cache: StageCache,
     else:
         placement.apply(target)
 
-    if graph is not None:  # in_place hit: placement applied, graph cached
-        return _PreparedDesign(graph=graph, entry=entry_for(graph),
-                               placed=target)
-
     routing = cache.load(keys["route"])
     if routing is None:
         routing = _locked_compute(cache, keys["route"], "route", design.name,
@@ -168,26 +159,20 @@ def _prepare_one(design: Design, config: PipelineConfig, cache: StageCache,
     graph = _locked_compute(
         cache, keys["graph"], "graph", design.name,
         lambda: run_graph_stage(target, routing, config))
-    return _PreparedDesign(graph=graph, entry=entry_for(graph), placed=target)
+    return _PreparedDesign(graph=graph, entry=entry_for(graph))
 
 
 def prepare_design(design: Design, config: PipelineConfig | None = None,
-                   *, in_place: bool = False,
-                   cache: StageCache | None = None) -> LHGraph:
+                   *, cache: StageCache | None = None) -> LHGraph:
     """Place, route and graph one design; returns a labelled LH-graph.
 
     The input design is **not** modified: placement happens on an
     internal copy (stage products are cached per design and config under
-    the staged cache).  Pass ``in_place=True`` to get the historical
-    behaviour where ``design.cell_x/cell_y`` hold the final placement
-    afterwards.  Note that ``in_place`` therefore changes the design's
-    content fingerprint for *subsequent* calls (the quadratic placer
-    warm-starts from current positions, so the mutated design really is
-    a different pipeline input); copy mode is the cache-friendly default.
+    the staged cache).
     """
     config = config or PipelineConfig()
     cache = _resolve_cache(config, cache)
-    return _prepare_one(design, config, cache, in_place=in_place).graph
+    return _prepare_one(design, config, cache).graph
 
 
 # ----------------------------------------------------------------------
@@ -298,21 +283,3 @@ def prepare_workload(suite: str = "superblue",
         return ManifestGraphs(manifest, cache)
     return list(ManifestGraphs(manifest, cache))
 
-
-def prepare_suite(config: PipelineConfig | None = None,
-                  verbose: bool = False, *, workers: int = 1,
-                  cache: StageCache | None = None) -> list[LHGraph]:
-    """Prepare the full 15-design synthetic superblue suite, with caching.
-
-    Historical entry point, kept signature-compatible; the heavy lifting
-    now goes through the staged per-design cache, so re-running with only
-    a router change re-routes without re-placing, and an interrupted run
-    resumes at the first unfinished stage.
-    """
-    from .workloads import load_workload  # one resolution site: registry
-    config = config or PipelineConfig()
-    cache = _resolve_cache(config, cache)
-    designs = load_workload("superblue", config)
-    graphs, _ = prepare_designs(designs, config, workers=workers,
-                                verbose=verbose, cache=cache)
-    return graphs

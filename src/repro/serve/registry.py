@@ -39,9 +39,7 @@ from ..models.pix2pix import Pix2Pix
 from ..models.related import GridSAGE
 from ..models.unet import UNet
 from ..nn.layers import Module
-from ..nn.serialize import (CheckpointError, checkpoint_sidecar_path,
-                            load_checkpoint, read_checkpoint_header,
-                            save_checkpoint)
+from ..nn.serialize import CheckpointError, read_checkpoint, save_checkpoint
 from ..store import quarantine_file
 
 __all__ = ["ModelFamily", "register_family", "attach_runtime", "get_family",
@@ -237,19 +235,21 @@ def restore_model(path: str, seed: int = 0,
     arrays therefore indicates file corruption and raises
     :class:`CheckpointError` rather than being silently retried.
 
-    The model is cast to the checkpoint's recorded compute dtype (legacy
-    checkpoints without one restore as float64, matching how they were
-    trained); pass ``dtype`` to override — e.g. serving a float64
-    checkpoint at float32 for speed.
+    The file is read once, so the architecture, dtype and weights all
+    come from the same bytes.  The model is cast to the checkpoint's
+    recorded compute dtype (a checkpoint without one is a
+    :class:`CheckpointError`); pass ``dtype`` to override — e.g. serving
+    a float64 checkpoint at float32 for speed.
 
-    A checkpoint whose *bytes* are damaged (checksum mismatch, torn
-    archive — ``CheckpointError.corrupt``) is moved to a ``quarantine/``
-    directory next to it before the error is re-raised, so retries and
-    other workers stop tripping over the same poisoned file and any
-    older checkpoint of the same name can be restored in its place.
+    A checkpoint whose *bytes* are damaged (missing or mismatched
+    checksum footer, torn archive — ``CheckpointError.corrupt``) is
+    moved to a ``quarantine/`` directory next to it before the error is
+    re-raised, so retries and other workers stop tripping over the same
+    poisoned file and any older checkpoint of the same name can be
+    restored in its place.
     """
     try:
-        header = read_checkpoint_header(path)
+        header, state = read_checkpoint(path)
         metadata = header.get("metadata", {})
         spec = metadata.get("model")
         if not spec:
@@ -257,10 +257,16 @@ def restore_model(path: str, seed: int = 0,
                 f"{path}: checkpoint has no architecture metadata; "
                 f"re-save it with repro.serve.registry.save_model")
         model = build_model(spec, seed=seed)
-        target = np.dtype(dtype) if dtype is not None \
-            else np.dtype(metadata.get("dtype", "float64"))
-        model.to_dtype(target)
-        load_checkpoint(model, path)
+        target = dtype if dtype is not None else metadata.get("dtype")
+        if target is None:
+            raise CheckpointError(
+                f"{path}: checkpoint records no compute dtype; "
+                f"re-save it with repro.serve.registry.save_model")
+        model.to_dtype(np.dtype(target))
+        try:
+            model.load_state_dict(state)
+        except (KeyError, ValueError) as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
     except CheckpointError as exc:
         if not getattr(exc, "corrupt", False):
             raise
@@ -274,21 +280,14 @@ def restore_model(path: str, seed: int = 0,
 
 
 def _quarantine_checkpoint(path: str, reason: str) -> str | None:
-    """Move a corrupt checkpoint (and its sidecar) into ``quarantine/``."""
+    """Move a corrupt checkpoint into ``quarantine/`` next to it."""
     resolved = path if os.path.exists(path) else path + ".npz"
     if not os.path.exists(resolved):
         return None
     qdir = os.path.join(os.path.dirname(os.path.abspath(resolved)),
                         "quarantine")
-    dest = quarantine_file(resolved, qdir, reason,
+    return quarantine_file(resolved, qdir, reason,
                            extra={"kind": "checkpoint"})
-    if dest is not None:
-        try:
-            os.replace(checkpoint_sidecar_path(resolved),
-                       checkpoint_sidecar_path(dest))
-        except OSError:
-            pass  # legacy checkpoint without a sidecar
-    return dest
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,9 @@ primitives in this module:
   leaves either the old file or the new file, never a torn one — the
   worst debris is an orphaned ``*.tmp`` (reaped by :func:`sweep`).
 * :func:`frame_blob` / :func:`unframe_blob` — a 40-byte footer (8-byte
-  magic + raw SHA-256 of the payload) appended to every blob, verified
-  on read.  Blobs without the footer are *legacy* and read unverified,
-  so caches written before this layer keep working.
+  magic + raw SHA-256 of the payload) appended to every blob and
+  checkpoint, verified on read.  Bytes without the footer are rejected
+  like bytes with a wrong digest: there is no unverified read.
 * :func:`quarantine_file` — corruption is never treated as a plain
   miss: the bad file moves to ``quarantine/`` next to a JSON *reason
   record*, so the recompute's ``store`` isn't racing a poisoned file
@@ -110,25 +110,24 @@ def frame_blob(payload: bytes) -> bytes:
     return payload + BLOB_MAGIC + hashlib.sha256(payload).digest()
 
 
-def unframe_blob(data: bytes, verify: bool = True) -> tuple[bytes, bool]:
-    """Split framed bytes into ``(payload, verified)``.
+def unframe_blob(data: bytes, verify: bool = True) -> bytes:
+    """Strip and check the footer; returns the payload.
 
-    Data carrying the footer is verified — a digest mismatch raises
-    :class:`BlobCorruptError`.  Data without the footer is a legacy
-    blob: returned whole with ``verified=False``.  ``verify=False``
-    skips the digest comparison (the caller has already verified these
-    exact bytes, e.g. via the store's per-process digest cache) but
-    still strips and structurally validates the footer.
+    A missing footer or a digest mismatch raises
+    :class:`BlobCorruptError`.  ``verify=False`` skips the digest
+    comparison (the caller has already verified these exact bytes, e.g.
+    via the store's per-process digest cache) but still requires the
+    footer.
     """
     if len(data) < FOOTER_BYTES or \
             data[-FOOTER_BYTES:-32] != BLOB_MAGIC:
-        return data, False
+        raise BlobCorruptError("missing checksum footer")
     payload, digest = data[:-FOOTER_BYTES], data[-32:]
     if verify and hashlib.sha256(payload).digest() != digest:
         raise BlobCorruptError(
             f"checksum mismatch: payload of {len(payload)} bytes does "
             f"not hash to its recorded sha-256 footer")
-    return payload, True
+    return payload
 
 
 # ----------------------------------------------------------------------
@@ -243,25 +242,21 @@ def sweep(root: str, *, max_tmp_age_s: float = 600.0,
     removed_tmp: list[str] = []
     removed_leases: list[str] = []
     now = time.time()
-    for sub in ("objects", "manifests", ""):
-        base = os.path.join(root, sub) if sub else root
-        if not os.path.isdir(base):
+    # One walk covers objects/, manifests/ and the files of a bare root
+    # (e.g. a checkpoint directory); lease and quarantine files are skipped.
+    for dirpath, _, names in os.walk(root):
+        if os.path.basename(dirpath) in ("leases", "quarantine"):
             continue
-        for dirpath, _, names in os.walk(base):
-            if os.path.basename(dirpath) in ("leases", "quarantine"):
+        for name in names:
+            if not name.endswith(".tmp"):
                 continue
-            for name in names:
-                if not name.endswith(".tmp"):
-                    continue
-                path = os.path.join(dirpath, name)
-                try:
-                    if now - os.stat(path).st_mtime >= max_tmp_age_s:
-                        os.unlink(path)
-                        removed_tmp.append(path)
-                except OSError:
-                    continue
-        if not sub:
-            break  # bare roots (checkpoint dirs) get one shallow pass
+            path = os.path.join(dirpath, name)
+            try:
+                if now - os.stat(path).st_mtime >= max_tmp_age_s:
+                    os.unlink(path)
+                    removed_tmp.append(path)
+            except OSError:
+                continue
     lease_dir = os.path.join(root, "leases")
     if os.path.isdir(lease_dir):
         for name in sorted(os.listdir(lease_dir)):
@@ -356,9 +351,10 @@ class BlobStore:
     def get(self, key: str, suffix: str = ".pkl") -> bytes | None:
         """Verified payload for ``key``, or ``None``.
 
-        A checksum failure quarantines the blob (bumping ``corrupt``)
-        and reads as ``None`` — indistinguishable from a miss to the
-        caller, but the poisoned file is off the fast path forever.
+        A missing footer or a checksum failure quarantines the blob
+        (bumping ``corrupt``) and reads as ``None`` — indistinguishable
+        from a miss to the caller, but the poisoned file is off the fast
+        path forever.
         """
         if self.root is None:
             return None
@@ -378,14 +374,12 @@ class BlobStore:
         except OSError:
             return None  # unreadable right now: a miss, not a crash
         try:
-            payload, framed = unframe_blob(data,
-                                           verify=not already_verified)
+            payload = unframe_blob(data, verify=not already_verified)
         except BlobCorruptError as exc:
             self._verified.pop(path, None)
             self.quarantine_object(key, str(exc), suffix=suffix)
             return None
-        if framed:
-            self._verified[path] = signature
+        self._verified[path] = signature
         self.reads += 1
         return payload
 

@@ -68,11 +68,10 @@ def _point_record(point: GridPoint, status: PointStatus,
 def build_sweep_manifest(sweep: SweepSpec) -> dict:
     """Join the grid's on-disk state into a ``repro-sweep-v1`` manifest.
 
-    Reads every point's result manifest (fingerprint-derived filenames,
-    legacy names via the embedded-fingerprint fallback) and lease state;
-    ranks completed points by held-out F1 (ties: ACC, then fingerprint
-    for total determinism).  ``complete`` is True iff every grid point
-    is done.
+    Reads every point's result manifest (at its fingerprint-derived
+    path) and lease state; ranks completed points by held-out F1 (ties:
+    ACC, then fingerprint for total determinism).  ``complete`` is True
+    iff every grid point is done.
     """
     points = expand_grid(sweep)
     statuses = sweep_status(sweep)

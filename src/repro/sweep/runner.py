@@ -11,8 +11,8 @@ completed ``repro-experiment-v1`` manifests with three guarantees:
   execute every point once between them — the loser of each lease race
   polls until the winner's manifest lands.
 * **Crash-resumable.**  A point is *done* iff a result manifest with a
-  matching ``spec_fingerprint`` exists (fingerprint-derived filename,
-  legacy names matched by embedded fingerprint).  A SIGKILLed run
+  matching ``spec_fingerprint`` exists at its fingerprint-derived path
+  ``experiments/<fingerprint>.json``.  A SIGKILLed run
   leaves done points' manifests on disk and its leases stale (dead pid
   / expired heartbeat); the next invocation skips the former, steals
   the latter, and completes only the missing work.

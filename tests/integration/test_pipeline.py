@@ -81,7 +81,6 @@ class TestPipelineConfig:
 
 class TestSuiteCaching:
     def test_cache_roundtrip(self, monkeypatch, tmp_path):
-        from repro.pipeline import prepare_suite
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         cfg = PipelineConfig(scale=0.15, grid_nx=8, grid_ny=8,
                              use_cache=True,
@@ -93,7 +92,7 @@ class TestSuiteCaching:
         orig = pl.superblue_suite
         monkeypatch.setattr(pl, "superblue_suite",
                             lambda scale, base_seed: orig(scale, base_seed)[:2])
-        first = pl.prepare_suite(cfg)
-        second = pl.prepare_suite(cfg)  # from cache
+        first = pl.prepare_workload("superblue", cfg)
+        second = pl.prepare_workload("superblue", cfg)  # from cache
         assert len(first) == len(second) == 2
         assert np.allclose(first[0].vc, second[0].vc)

@@ -221,26 +221,6 @@ class TestPrepareDesignMutation:
         assert np.array_equal(design.cell_x, x0)
         assert np.array_equal(design.cell_y, y0)
 
-    def test_in_place_opt_in(self, cache_dir):
-        design = generate_design(DesignSpec(name="mut2", seed=12,
-                                            num_movable=100, die_size=32.0))
-        x0 = design.cell_x.copy()
-        prepare_design(design, tiny_config(), in_place=True)
-        assert not np.array_equal(design.cell_x, x0)  # cells moved
-
-    def test_in_place_applies_cached_placement(self, cache_dir):
-        cfg = tiny_config()
-        design = generate_design(DesignSpec(name="mut3", seed=13,
-                                            num_movable=100, die_size=32.0))
-        prepare_design(design, cfg, in_place=True)
-        placed_x = design.cell_x.copy()
-        fresh = generate_design(DesignSpec(name="mut3", seed=13,
-                                           num_movable=100, die_size=32.0))
-        reset_stage_calls()
-        prepare_design(fresh, cfg, in_place=True)
-        assert STAGE_CALLS["place"] == 0
-        assert np.array_equal(fresh.cell_x, placed_x)
-
 
 class TestWorkloads:
     def test_builtin_registry(self):

@@ -1,5 +1,7 @@
 """Tests for the model registry: typed metadata, deterministic restore."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.serve.registry import (build_model, family_of, get_family,
                                   list_families, model_spec,
                                   output_channels, restore_model,
                                   save_model)
+from repro.store import FOOTER_BYTES
 
 
 @pytest.fixture
@@ -135,6 +138,59 @@ class TestSaveRestore:
         model = LHNN(LHNNConfig(hidden=8), rng)
         spec = {"family": "lhnn", "config": {"hidden": 16}}
         path = save_checkpoint(model, str(tmp_path / "bad.npz"),
-                               metadata={"model": spec})
+                               metadata={"model": spec, "dtype": "float64"})
         with pytest.raises(CheckpointError):
             restore_model(path)
+
+    def test_checkpoint_without_dtype_is_refused(self, rng, tmp_path):
+        # No float64 guess: save_model always records the dtype.
+        model = MLPBaseline(hidden=8, rng=rng)
+        path = save_checkpoint(model, str(tmp_path / "nodtype.npz"),
+                               metadata={"model": model_spec(model)})
+        with pytest.raises(CheckpointError, match="no compute dtype"):
+            restore_model(path)
+        restored, _ = restore_model(path, dtype="float32")
+        assert restored.dtype() == np.float32
+
+    def test_footerless_checkpoint_is_corrupt_and_quarantined(self, rng,
+                                                             tmp_path):
+        # A healthy .npz without the checksum footer is never read
+        # unverified.
+        path = save_model(MLPBaseline(hidden=8, rng=rng),
+                          str(tmp_path / "bare.npz"))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data[:-FOOTER_BYTES])
+        with pytest.raises(CheckpointError,
+                           match="missing checksum footer") as info:
+            restore_model(path)
+        assert info.value.corrupt
+        assert "unreadable checkpoint" in str(info.value)
+        assert not os.path.exists(path)
+        reasons = [n for n in os.listdir(tmp_path / "quarantine")
+                   if n.endswith(".reason.json")]
+        assert len(reasons) == 1
+
+    def test_checkpoint_is_read_once(self, rng, tmp_path, monkeypatch):
+        # Architecture, dtype and weights come from one read: a save that
+        # replaces the file mid-restore cannot pair one file's spec with
+        # the other file's weights.
+        import repro.nn.serialize as serialize
+        first = MLPBaseline(hidden=8, rng=rng)
+        path = save_model(first, str(tmp_path / "a.npz"))
+        other = save_model(MLPBaseline(hidden=16, rng=rng),
+                           str(tmp_path / "b.npz"))
+        real_read = serialize.read_bytes
+        calls = []
+
+        def read_bytes(target, **kwargs):
+            calls.append(target)
+            return real_read(other if len(calls) > 1 else target, **kwargs)
+
+        monkeypatch.setattr(serialize, "read_bytes", read_bytes)
+        restored, _ = restore_model(path)
+        assert len(calls) == 1
+        assert restored.hidden == 8
+        for name, value in first.state_dict().items():
+            assert np.array_equal(restored.state_dict()[name], value)

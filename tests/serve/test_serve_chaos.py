@@ -64,10 +64,11 @@ def eio_forever_plan() -> str:
 
 
 def kill_on_reload_plan() -> str:
-    """SIGKILL on the 3rd checkpoint read: boot restore survives (hits
-    1-2), the next in-process reload dies mid-restore (hit 3)."""
+    """SIGKILL on the 2nd checkpoint read: boot restore survives (hit 1;
+    a restore reads the file once), the next in-process reload dies
+    mid-restore (hit 2)."""
     return FaultInjector([FaultRule(point="checkpoint.read", action="kill",
-                                    nth=3)]).to_env()
+                                    nth=2)]).to_env()
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +141,7 @@ class TestKillMidReload:
                                   [{"id": 1, "spec": SPEC_A}])
             assert before[0]["ok"]
 
-            # The reload's restore is the 3rd checkpoint read: SIGKILL
+            # The reload's restore is the 2nd checkpoint read: SIGKILL
             # lands inside the worker mid-reload.  The supervisor must
             # detect it and bring a fresh worker up on the NEW spec.
             acks = sup.reload(checkpoints[1])

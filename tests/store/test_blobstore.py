@@ -23,15 +23,13 @@ def tmp_files(root: str) -> list[str]:
 
 class TestFraming:
     def test_round_trip_is_verified(self):
-        framed = frame_blob(b"payload")
-        payload, verified = unframe_blob(framed)
-        assert payload == b"payload"
-        assert verified
+        assert unframe_blob(frame_blob(b"payload")) == b"payload"
 
-    def test_legacy_bytes_pass_through_unverified(self):
-        payload, verified = unframe_blob(b"an old, unframed blob")
-        assert payload == b"an old, unframed blob"
-        assert not verified
+    def test_footerless_bytes_are_rejected(self):
+        with pytest.raises(BlobCorruptError, match="missing checksum footer"):
+            unframe_blob(b"an old, unframed blob")
+        with pytest.raises(BlobCorruptError, match="missing checksum footer"):
+            unframe_blob(b"an old, unframed blob", verify=False)
 
     def test_flipped_payload_byte_is_corrupt(self):
         framed = bytearray(frame_blob(b"payload"))
@@ -107,15 +105,18 @@ class TestBlobStore:
         assert store.put(KEY, b"recomputed")
         assert store.get(KEY) == b"recomputed"
 
-    def test_legacy_unframed_blob_reads_unverified(self, tmp_path):
+    def test_footerless_blob_is_quarantined(self, tmp_path):
         store = BlobStore(str(tmp_path))
         path = store.object_path(KEY)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        legacy = pickle.dumps({"old": True})
         with open(path, "wb") as fh:
-            fh.write(legacy)
-        assert store.get(KEY) == legacy
-        assert store.corrupt == 0
+            fh.write(pickle.dumps({"old": True}))  # no footer
+        assert store.get(KEY) is None
+        assert store.corrupt == 1 and store.reads == 0
+        assert not os.path.exists(path)
+        [record] = store.quarantine_records()
+        assert record["reason"] == "missing checksum footer"
+        assert record["key"] == KEY
 
     def test_unwritable_root_degrades_with_structured_warning(self, tmp_path):
         blocker = tmp_path / "not-a-dir"

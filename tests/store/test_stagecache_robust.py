@@ -12,7 +12,7 @@ from repro.pipeline import PipelineConfig, StageCache, prepare_design
 from repro.pipeline.runner import _locked_compute
 from repro.placement import PlacementConfig
 from repro.routing import RouterConfig
-from repro.store import Lease, StoreDegradedWarning
+from repro.store import Lease, StoreDegradedWarning, frame_blob
 from repro.circuit import superblue_suite
 
 KEY = "cafef00d" * 4
@@ -49,7 +49,8 @@ class TestCorruptAccounting:
         path = cache._path(KEY)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "wb") as fh:
-            fh.write(b"not a pickle")  # unframed: legacy read path
+            # A valid footer, so the bytes reach the unpickle step.
+            fh.write(frame_blob(b"not a pickle"))
         assert cache.load(KEY) is None
         assert cache.corrupt == 1
         assert cache.misses == 0

@@ -52,9 +52,10 @@ class TestBuild:
         assert states[victim.index] == "pending"
         assert manifest["points"][victim.index]["metrics"] is None
 
-    def test_legacy_named_manifest_counts_as_done(self, tmp_path):
-        """Manifests written under the old <name>.json scheme are matched
-        by their embedded fingerprint (satellite back-compat)."""
+    def test_legacy_named_manifest_is_pending(self, tmp_path):
+        """A manifest is found only at experiments/<fingerprint>.json; a
+        file under any other name never completes a point, even when it
+        embeds the right fingerprint."""
         sweep = make_sweep(tmp_path)
         points = expand_grid(sweep)
         for point in points[:3]:
@@ -63,9 +64,10 @@ class TestBuild:
                               "mlp-hotspot.json")
         write_stub_manifest(points[3].spec, path=legacy)
         manifest = build_sweep_manifest(sweep)
-        assert manifest["complete"] is True
+        assert manifest["complete"] is False
         record = manifest["points"][points[3].index]
-        assert record["manifest_path"] == legacy
+        assert record["state"] == "pending"
+        assert record["manifest_path"] is None
 
     def test_empty_grid_state(self, tmp_path):
         manifest = build_sweep_manifest(make_sweep(tmp_path))
@@ -91,17 +93,6 @@ class TestWrite:
         assert path.startswith(os.path.join(str(tmp_path), "experiments"))
         loaded = json.load(open(path))
         assert validate_sweep_manifest(loaded)["name"] == "unit"
-
-    def test_sweep_manifest_skipped_by_result_iterator(self, tmp_path):
-        """The sweep-level manifest must not masquerade as a result
-        manifest when the back-compat scanner walks experiments/."""
-        from repro.api import iter_result_manifests
-        sweep = completed_sweep(tmp_path)
-        write_sweep_manifest(sweep, build_sweep_manifest(sweep))
-        found = list(iter_result_manifests(str(tmp_path)))
-        assert len(found) == 4
-        assert all(m["schema"] == "repro-experiment-v1"
-                   for _, m in found)
 
 
 class TestValidate:

@@ -171,9 +171,9 @@ class TestQuarantine:
         """A manifest embedding another spec's fingerprint never
         satisfies a point (a copied file cannot fake completion).
 
-        The planted file *does* count for point b — identity lives in the
-        embedded fingerprint, not the filename (the legacy-name
-        back-compat path) — but point a must re-execute.
+        Point a must re-execute, and the moved file does not count for
+        point b either: a manifest is found only at its own
+        fingerprint-derived path.
         """
         sweep = make_sweep(tmp_path)
         a, b = expand_grid(sweep)[:2]
@@ -181,7 +181,7 @@ class TestQuarantine:
         # Plant b's manifest at a's canonical path.
         os.replace(b.spec.manifest_path(), a.spec.manifest_path())
         report = run_sweep(sweep, execute=stub_executor)
-        assert (report.executed, report.skipped) == (3, 1)
+        assert (report.executed, report.skipped) == (4, 0)
         manifest = json.load(open(a.spec.manifest_path()))
         assert manifest["fingerprint"] == a.fingerprint
 
