@@ -11,18 +11,25 @@ disk under ``REPRO_CACHE_DIR``); training budgets are controlled by:
 
 Set ``REPRO_SEEDS=5`` for the paper-faithful protocol; the defaults keep a
 full benchmark run within minutes on a laptop CPU.
+
+The micro-benches that track a ``BENCH_*.json`` report at the repo root
+name it with a module-level ``BENCH_REPORT = (file name, context)`` and
+record into the :func:`bench_report` fixture.
 """
 
 from __future__ import annotations
 
 import os
+from types import SimpleNamespace
 
 import pytest
 
 from repro.data import CongestionDataset
+from repro.perf.report import report_requested, write_bench_report
 from repro.pipeline import PipelineConfig, prepare_workload
 
-ARTIFACTS = os.path.join(os.path.dirname(__file__), "..", "artifacts")
+REPO_ROOT = os.path.join(os.path.dirname(__file__), "..")
+ARTIFACTS = os.path.join(REPO_ROOT, "artifacts")
 
 
 def env_int(name: str, default: int) -> int:
@@ -78,3 +85,21 @@ def save_artifact(name: str, text: str) -> str:
         handle.write(text + "\n")
     print("\n" + text)
     return path
+
+
+@pytest.fixture(scope="module")
+def bench_report(request):
+    """What a bench module records for its tracked ``BENCH_*.json``.
+
+    Tests fill ``entries`` (name -> dict of numbers) and may set
+    ``perf_ops``.  When the module finishes and ``REPRO_BENCH_REPORT=1``
+    is set, the report is validated and written to the file named by the
+    module's ``BENCH_REPORT``, so partial ``-k`` runs still record.
+    """
+    filename, context = request.module.BENCH_REPORT
+    record = SimpleNamespace(entries={}, perf_ops=None)
+    yield record
+    if record.entries and report_requested():
+        write_bench_report(os.path.join(REPO_ROOT, filename),
+                           record.entries, context=context,
+                           perf_ops=record.perf_ops)

@@ -12,10 +12,9 @@ Measures the service the way an EDA integration would feel it:
   strict warm priority caps their wait at one in-flight job, so warm
   p99 < cold p50 by construction, and the bench asserts it.
 
-Both write ``BENCH_serve.json`` (schema ``repro-bench-serve-v1``, see
-:mod:`repro.perf.report`) next to the ``BENCH_nn.json`` trajectory; the
-nightly CI job uploads it as a build artifact.  Everything here is
-``slow``-marked:
+Both record into ``BENCH_serve.json`` (the one bench schema of
+:mod:`repro.perf.report`) next to ``BENCH_nn.json``; the nightly CI job
+validates and uploads it.  Everything here is ``slow``-marked:
 
 ```bash
 PYTHONPATH=src python -m pytest benchmarks/test_service_load.py -q -m slow
@@ -31,8 +30,6 @@ import numpy as np
 import pytest
 
 from repro.models.mlp_baseline import MLPBaseline
-from repro.perf.report import (load_serve_bench_report, report_requested,
-                               write_serve_bench_report)
 from repro.pipeline import PipelineConfig
 from repro.placement import PlacementConfig
 from repro.routing import RouterConfig
@@ -40,14 +37,6 @@ from repro.serve import (AsyncServeClient, ServeConfig, ServeService,
                          ServiceConfig, save_model)
 
 pytestmark = pytest.mark.slow
-
-BENCH_SERVE_PATH = os.path.join(os.path.dirname(__file__), "..",
-                                "BENCH_serve.json")
-
-#: Entries accumulated by the benches below; flushed (and re-validated)
-#: once the module finishes when ``REPRO_BENCH_REPORT=1``, so partial
-#: ``-k`` runs still record.
-_ENTRIES: dict[str, dict] = {}
 
 
 def usable_cores() -> int:
@@ -57,17 +46,11 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _serve_bench_report():
-    yield
-    if _ENTRIES and report_requested():
-        path = write_serve_bench_report(
-            BENCH_SERVE_PATH, _ENTRIES,
-            context={"source": "benchmarks/test_service_load.py",
-                     "usable_cores": usable_cores(),
-                     "pipeline": "8x8 G-cells, 2 placement iters, "
-                                 "2 RRR iters, 60 movable cells"})
-        load_serve_bench_report(path)  # never upload an invalid artifact
+BENCH_REPORT = ("BENCH_serve.json",
+                {"source": "benchmarks/test_service_load.py",
+                 "usable_cores": usable_cores(),
+                 "pipeline": "8x8 G-cells, 2 placement iters, "
+                             "2 RRR iters, 60 movable cells"})
 
 
 def small_pipeline():
@@ -163,15 +146,16 @@ def run_cold_load(checkpoint, workers: int, specs, cache_dir) -> dict:
 
 class TestColdScaling:
     def test_two_workers_scale_pipeline_bound_load(self, checkpoint,
-                                                   tmp_path):
+                                                   tmp_path, bench_report):
         specs = cold_specs(8, "scale")
         # Fresh on-disk stage cache per run: both runs pay full cold
         # place-and-route, so the comparison is pipeline-bound.
         single = run_cold_load(checkpoint, 1, specs, tmp_path / "n1")
         double = run_cold_load(checkpoint, 2, specs, tmp_path / "n2")
         speedup = double["requests_per_s"] / single["requests_per_s"]
-        _ENTRIES["cold_burst_1worker"] = single
-        _ENTRIES["cold_burst_2workers"] = {**double, "speedup": speedup}
+        bench_report.entries["cold_burst_1worker"] = single
+        bench_report.entries["cold_burst_2workers"] = {**double,
+                                                       "speedup": speedup}
         assert single["requests_per_s"] > 0
         if usable_cores() >= 2:
             assert speedup >= 1.7, (
@@ -184,7 +168,8 @@ class TestColdScaling:
 
 
 class TestWarmLatencyUnderColdBacklog:
-    def test_warm_p99_beats_cold_p50(self, checkpoint, tmp_path):
+    def test_warm_p99_beats_cold_p50(self, checkpoint, tmp_path,
+                                     bench_report):
         warm_spec = {"name": "load-warm", "seed": 899,
                      "num_movable": 60, "die_size": 32.0}
 
@@ -213,7 +198,7 @@ class TestWarmLatencyUnderColdBacklog:
         cold_ms, warm_ms = asyncio.run(main())
         warm = percentiles(warm_ms)
         cold = percentiles(cold_ms)
-        _ENTRIES["warm_under_cold_backlog"] = {
+        bench_report.entries["warm_under_cold_backlog"] = {
             "workers": 1, "cold_requests": 6, "warm_requests": 8,
             "warm_p50_ms": float(np.percentile(warm_ms, 50)),
             "warm_p99_ms": warm["p99_ms"],

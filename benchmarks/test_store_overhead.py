@@ -15,9 +15,10 @@ unpickles the payload with no check — the measured gap is exactly the
 Timings are batch-amortised best-of-N, so microsecond-scale jitter does
 not decide the gate.
 
-Writes ``BENCH_store.json`` (schema ``repro-bench-store-v1``) next to
-``BENCH_nn.json`` / ``BENCH_serve.json``; the nightly CI job validates
-and uploads it.  ``slow``-marked:
+Records into ``BENCH_store.json`` (the one bench schema of
+:mod:`repro.perf.report`) next to ``BENCH_nn.json`` /
+``BENCH_serve.json``; the nightly CI job validates and uploads it.
+``slow``-marked:
 
 ```bash
 PYTHONPATH=src python -m pytest benchmarks/test_store_overhead.py -q -m slow
@@ -32,8 +33,6 @@ import numpy as np
 import pytest
 
 from repro.circuit import superblue_suite
-from repro.perf.report import (load_store_bench_report, report_requested,
-                               write_store_bench_report)
 from repro.pipeline import (PipelineConfig, StageCache, prepare_design,
                             stage_keys_for)
 from repro.placement import PlacementConfig
@@ -41,9 +40,6 @@ from repro.routing import RouterConfig
 from repro.store import FOOTER_BYTES, read_bytes
 
 pytestmark = pytest.mark.slow
-
-BENCH_STORE_PATH = os.path.join(os.path.dirname(__file__), "..",
-                                "BENCH_store.json")
 
 #: The acceptance budget: warm checksummed loads within 10% of raw.
 MAX_OVERHEAD = 1.10
@@ -53,23 +49,11 @@ MAX_OVERHEAD = 1.10
 BATCH = 20
 ROUNDS = 15
 
-#: Entries accumulated by the benches below; flushed and re-validated
-#: once the module finishes when ``REPRO_BENCH_REPORT=1``, so partial
-#: ``-k`` runs still record.
-_ENTRIES: dict[str, dict] = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _store_bench_report():
-    yield
-    if _ENTRIES and report_requested():
-        path = write_store_bench_report(
-            BENCH_STORE_PATH, _ENTRIES,
-            context={"source": "benchmarks/test_store_overhead.py",
-                     "batch": BATCH, "rounds": ROUNDS,
-                     "raw_baseline": "same framed file, footer dropped "
-                                     "and payload unpickled unverified"})
-        load_store_bench_report(path)  # never upload an invalid artifact
+BENCH_REPORT = ("BENCH_store.json",
+                {"source": "benchmarks/test_store_overhead.py",
+                 "batch": BATCH, "rounds": ROUNDS,
+                 "raw_baseline": "same framed file, footer dropped and "
+                                 "payload unpickled unverified"})
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +97,7 @@ def _bench_entry(cache: StageCache, key: str) -> dict:
 
 
 class TestWarmLoadOverhead:
-    def test_stage_product_loads_within_budget(self, cache):
+    def test_stage_product_loads_within_budget(self, cache, bench_report):
         """The real thing: a prepared LH-graph stage product."""
         config = PipelineConfig(
             scale=0.15, grid_nx=8, grid_ny=8, use_cache=True,
@@ -123,7 +107,7 @@ class TestWarmLoadOverhead:
         prepare_design(design, config, cache=cache)
         key = stage_keys_for(design, config)["graph"]
         entry = _bench_entry(cache, key)
-        _ENTRIES["stage_graph_load"] = entry
+        bench_report.entries["stage_graph_load"] = entry
         print(f"\n[store] graph product ({entry['payload_bytes']} B): "
               f"raw {entry['raw_read_s'] * 1e6:.0f}us, verified "
               f"{entry['verified_read_s'] * 1e6:.0f}us "
@@ -133,7 +117,8 @@ class TestWarmLoadOverhead:
             f"{entry['overhead_ratio']:.3f}x raw loads "
             f"(budget {MAX_OVERHEAD}x)")
 
-    def test_large_array_payload_within_budget(self, cache):
+    def test_large_array_payload_within_budget(self, cache,
+                                                bench_report):
         """Worst case for hashing: a 4 MB ndarray that unpickles as a
         near-memcpy — without the per-process digest cache the sha-256
         would dominate this load several times over."""
@@ -142,7 +127,7 @@ class TestWarmLoadOverhead:
         cache.store(key, payload)
 
         entry = _bench_entry(cache, key)
-        _ENTRIES["large_array_load"] = entry
+        bench_report.entries["large_array_load"] = entry
         print(f"\n[store] 4MB ndarray: raw "
               f"{entry['raw_read_s'] * 1e6:.0f}us, verified "
               f"{entry['verified_read_s'] * 1e6:.0f}us "

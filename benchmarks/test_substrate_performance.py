@@ -14,15 +14,14 @@ of :mod:`repro.train.trainer`): batching must stay measurably faster, and
 
 The ``dtype`` benches measure the numerical engine's float32 compute
 policy against the float64 baseline on identical work — train epoch,
-conv forward/backward, spmm, serve flush — and write the machine-readable
-``BENCH_nn.json`` trajectory (see :mod:`repro.perf.report` and
+conv forward/backward, spmm, serve flush — and record into the
+tracked ``BENCH_nn.json`` report (see :mod:`repro.perf.report` and
 ``benchmarks/README.md``).  The train-epoch speedup is a hard gate:
 float32 must be ≥ 1.5× float64 with eval F1 within noise.  These four
 wall-clock gates are marked ``slow``: tier-1 stays free of timing
 assertions, and nightly CI (``-m ""``) still runs them.
 """
 
-import os
 import time
 
 import numpy as np
@@ -37,8 +36,7 @@ from repro.nn import DtypeConfig, SparseMatrix, Tensor, no_grad, spmm
 from repro.nn.conv import Conv2d
 from repro.nn.losses import JointLoss
 from repro.nn.optim import Adam
-from repro.perf.report import (report_requested, speedup_entry,
-                               write_bench_report)
+from repro.perf.report import speedup_entry
 from repro.placement import PlacementConfig, place
 from repro.routing import GlobalRouter, RouterConfig, extract_maps
 from repro.train.metrics import evaluate_binary
@@ -257,27 +255,11 @@ def test_bench_prepare_warm(prepare_bench_setup, benchmark, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# float32 compute policy vs float64 baseline (writes BENCH_nn.json)
+# float32 compute policy vs float64 baseline (records BENCH_nn.json)
 # ---------------------------------------------------------------------------
-BENCH_NN_PATH = os.path.join(os.path.dirname(__file__), "..",
-                             "BENCH_nn.json")
-
-#: Entries accumulated by the dtype benches below; flushed to
-#: ``BENCH_nn.json`` once the module finishes when ``REPRO_BENCH_REPORT=1``
-#: (partial runs via ``-k`` still record what they measured).
-_BENCH_ENTRIES: dict[str, dict] = {}
-_BENCH_PERF_OPS: dict = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _bench_nn_report():
-    yield
-    if _BENCH_ENTRIES and report_requested():
-        write_bench_report(
-            BENCH_NN_PATH, _BENCH_ENTRIES,
-            perf_ops=_BENCH_PERF_OPS or None,
-            context={"source": "benchmarks/test_substrate_performance.py",
-                     "suite": "6x superblue @ scale 0.25, 16x16 G-cells"})
+BENCH_REPORT = ("BENCH_nn.json",
+                {"source": "benchmarks/test_substrate_performance.py",
+                 "suite": "6x superblue @ scale 0.25, 16x16 G-cells"})
 
 
 def _best_of(fn, rounds: int = 5) -> float:
@@ -312,12 +294,14 @@ def congested_graph_suite():
     return graphs
 
 
-def _lhnn_training_run(graphs, dtype, steps_per_epoch: int = 6):
+def _lhnn_training_run(graphs, dtype, bench_report,
+                       steps_per_epoch: int = 6):
     """Batched-LHNN epoch closure + trained-model F1 at one dtype.
 
     Mirrors the real training substrate: one block-diagonal supergraph
     step over the whole suite, Adam, joint loss, inputs materialised by
-    ``sample_of`` in the compute dtype.
+    ``sample_of`` in the compute dtype.  At float32 the op-level
+    breakdown of one epoch becomes ``bench_report.perf_ops``.
     """
     with DtypeConfig(dtype):
         samples = [sample_of(g) for g in graphs]
@@ -349,8 +333,7 @@ def _lhnn_training_run(graphs, dtype, steps_per_epoch: int = 6):
         if dtype is np.float32:
             perf.enable()
             epoch()
-            _BENCH_PERF_OPS.clear()
-            _BENCH_PERF_OPS.update(perf.perf_report())
+            bench_report.perf_ops = perf.perf_report()
             perf.disable()
 
         # Train past the steep part of the learning curve before the
@@ -366,13 +349,16 @@ def _lhnn_training_run(graphs, dtype, steps_per_epoch: int = 6):
 
 
 @pytest.mark.slow
-def test_bench_train_epoch_float32_speedup(congested_graph_suite):
+def test_bench_train_epoch_float32_speedup(congested_graph_suite,
+                                           bench_report):
     """Acceptance gate: float32 train epoch ≥ 1.5× the float64 baseline,
     with eval F1 within noise.  The measured numbers become the
     ``train_epoch`` entry of ``BENCH_nn.json``."""
-    t64, f1_64 = _lhnn_training_run(congested_graph_suite, np.float64)
-    t32, f1_32 = _lhnn_training_run(congested_graph_suite, np.float32)
-    _BENCH_ENTRIES["train_epoch"] = speedup_entry(
+    t64, f1_64 = _lhnn_training_run(congested_graph_suite, np.float64,
+                                    bench_report)
+    t32, f1_32 = _lhnn_training_run(congested_graph_suite, np.float32,
+                                    bench_report)
+    bench_report.entries["train_epoch"] = speedup_entry(
         t32, t64, f1_float32=f1_32, f1_float64=f1_64,
         f1_delta=abs(f1_32 - f1_64))
     assert abs(f1_32 - f1_64) <= 5.0, (f1_32, f1_64)
@@ -381,7 +367,7 @@ def test_bench_train_epoch_float32_speedup(congested_graph_suite):
 
 
 @pytest.mark.slow
-def test_bench_conv2d_dtype(bench_graph_suite):
+def test_bench_conv2d_dtype(bench_graph_suite, bench_report):
     """Conv2d forward/backward at both dtypes (U-Net / Pix2Pix hot path).
 
     The strided-view im2col and the slice-add col2im apply to both
@@ -409,14 +395,14 @@ def test_bench_conv2d_dtype(bench_graph_suite):
                               _best_of(forward_backward, rounds=5))
     fwd64, fb64 = timings[np.float64]
     fwd32, fb32 = timings[np.float32]
-    _BENCH_ENTRIES["conv2d_forward"] = speedup_entry(fwd32, fwd64)
-    _BENCH_ENTRIES["conv2d_backward"] = speedup_entry(
+    bench_report.entries["conv2d_forward"] = speedup_entry(fwd32, fwd64)
+    bench_report.entries["conv2d_backward"] = speedup_entry(
         max(fb32 - fwd32, 1e-9), max(fb64 - fwd64, 1e-9))
     assert fwd32 <= fwd64 * 1.25  # float32 must not regress
 
 
 @pytest.mark.slow
-def test_bench_spmm_dtype(bench_graph_suite):
+def test_bench_spmm_dtype(bench_graph_suite, bench_report):
     """The message-passing kernel at both dtypes on the real batched
     operators (block-diagonal lattice + incidence of the bench suite)."""
     from repro.graph.batch import batch_graphs
@@ -437,13 +423,13 @@ def test_bench_spmm_dtype(bench_graph_suite):
             spmm(ops[1].T, xn)
 
         timings[dtype] = _best_of(sweep, rounds=10)
-    _BENCH_ENTRIES["spmm"] = speedup_entry(timings[np.float32],
-                                           timings[np.float64])
+    bench_report.entries["spmm"] = speedup_entry(timings[np.float32],
+                                                 timings[np.float64])
     assert timings[np.float32] <= timings[np.float64] * 1.25
 
 
 @pytest.mark.slow
-def test_bench_serve_flush_dtype(bench_graph_suite):
+def test_bench_serve_flush_dtype(bench_graph_suite, bench_report):
     """Warm serving flush latency at both dtypes: queued prepared graphs
     answered in micro-batched no-grad forward passes."""
     from repro.serve import InferenceEngine, PredictRequest, ServeConfig
@@ -461,6 +447,6 @@ def test_bench_serve_flush_dtype(bench_graph_suite):
             results = flush_all()
             assert len(results) == len(bench_graph_suite)
             timings[dtype] = _best_of(flush_all, rounds=5)
-    _BENCH_ENTRIES["serve_flush"] = speedup_entry(timings[np.float32],
-                                                  timings[np.float64])
+    bench_report.entries["serve_flush"] = speedup_entry(
+        timings[np.float32], timings[np.float64])
     assert timings[np.float32] <= timings[np.float64] * 1.25

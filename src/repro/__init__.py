@@ -14,8 +14,8 @@ experimental stack:
 * :mod:`repro.data` / :mod:`repro.train` — dataset, splits, training,
 * :mod:`repro.pipeline` — netlist → placement → routing → LH-graph,
 * :mod:`repro.eval` — paper tables and Figure-4 visualisation,
-* :mod:`repro.perf` — op-level perf instrumentation and the
-  ``BENCH_nn.json`` benchmark reporter,
+* :mod:`repro.perf` — op-level perf instrumentation and the one
+  writer and validator of the tracked ``BENCH_*.json`` bench reports,
 * :mod:`repro.api` — the declarative experiment layer: one
   :class:`~repro.api.ExperimentSpec` drives every model family,
   workload and entry point.

@@ -18,23 +18,18 @@ the arrays the op produced (an allocation counter — the engine's hot
 loops are allocation-bound on CPU, so "bytes materialised per step" is
 the number the in-place-optimizer and buffer-reuse work drives down).
 
-:func:`measure` is the standalone harness: it runs a callable under the
-timer *and* a :mod:`tracemalloc` window, returning wall time and the
-peak python-allocation high-water mark.
-
-The machine-readable benchmark trajectory (``BENCH_nn.json``) is written
+The tracked ``BENCH_*.json`` bench reports are written and validated
 by :mod:`repro.perf.report`.
 """
 
 from __future__ import annotations
 
 import time
-import tracemalloc
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["PerfRegistry", "PERF", "enable", "disable", "is_enabled",
-           "reset", "perf_report", "op_timer", "measure", "Measurement"]
+__all__ = ["PerfRegistry", "PERF", "enable", "disable", "reset",
+           "perf_report", "op_timer"]
 
 
 @dataclass
@@ -107,11 +102,6 @@ def disable() -> None:
     PERF.enabled = False
 
 
-def is_enabled() -> bool:
-    """Whether the hot paths are currently recording."""
-    return PERF.enabled
-
-
 def reset() -> None:
     """Clear accumulated statistics."""
     PERF.reset()
@@ -137,41 +127,3 @@ def op_timer(name: str, nbytes: int = 0):
         yield
     finally:
         PERF.record(name, time.perf_counter() - t0, nbytes)
-
-
-@dataclass
-class Measurement:
-    """Result of :func:`measure`: wall time plus allocation high-water."""
-
-    value: object
-    seconds: float
-    peak_bytes: int = 0
-    extra: dict = field(default_factory=dict)
-
-
-def measure(fn, *args, trace_allocations: bool = True, **kwargs) -> Measurement:
-    """Run ``fn(*args, **kwargs)`` under a timer and (optionally) a
-    :mod:`tracemalloc` window.
-
-    ``peak_bytes`` is the tracemalloc peak *delta* over the call — the
-    transient python-side allocation footprint, which is what the fused /
-    in-place hot-path work shrinks.  Tracing costs real time, so wall
-    seconds from a traced run should not be compared against untraced
-    runs; benches time first and trace separately.
-    """
-    if trace_allocations:
-        started_here = not tracemalloc.is_tracing()
-        if started_here:
-            tracemalloc.start()
-        tracemalloc.reset_peak()
-        before, _ = tracemalloc.get_traced_memory()
-    t0 = time.perf_counter()
-    value = fn(*args, **kwargs)
-    seconds = time.perf_counter() - t0
-    peak = 0
-    if trace_allocations:
-        _, peak_abs = tracemalloc.get_traced_memory()
-        peak = max(0, peak_abs - before)
-        if started_here:
-            tracemalloc.stop()
-    return Measurement(value=value, seconds=seconds, peak_bytes=peak)

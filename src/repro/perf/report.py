@@ -1,17 +1,25 @@
-"""Machine-readable benchmark reporting: the ``BENCH_nn.json`` trajectory.
+"""Machine-readable benchmark reporting: the tracked ``BENCH_*.json`` files.
 
-The repo's ROADMAP demands the engine run "as fast as the hardware
-allows"; this module is how progress toward that is *recorded*.  Benches
-(`benchmarks/test_substrate_performance.py`) measure the numerical
-engine's hot paths at float32 and float64 and hand the timings to
-:func:`write_bench_report`, which writes a small, schema-versioned JSON
-file.  Each entry carries the raw per-dtype seconds and the
-``speedup_vs_float64`` ratio, plus (optionally) the op-level timer
-snapshot from :func:`repro.perf.perf_report`.
+The micro-benches under ``benchmarks/`` each record their numbers in one
+tracked report at the repo root — ``BENCH_nn.json`` (float32 vs float64
+engine timings plus an op-level breakdown), ``BENCH_serve.json``
+(requests/s and latency percentiles per load shape) and
+``BENCH_store.json`` (raw vs checksummed warm read timings).  All three
+share one schema-versioned envelope, written by
+:func:`write_bench_report` and validated by :func:`load_bench_report`:
 
-The file is meant to be diffed across commits — CI uploads it as a build
-artifact on the nightly bench run — so the schema is strict and
-:func:`load_bench_report` validates it.
+* ``schema`` — :data:`BENCH_SCHEMA`;
+* ``entries`` — non-empty mapping of bench name to an object whose
+  every field is a number (free-form strings belong in ``context``);
+* ``context`` — free-form machine and workload context;
+* ``platform`` — python version, machine and system;
+* ``perf_ops`` — optional op-level snapshot from
+  :func:`repro.perf.perf_report`.
+
+The files are meant to be diffed across commits — CI uploads them as
+build artifacts on the nightly bench run — so the writer checks the
+report it is about to write and replaces the file atomically, and the
+loader applies the same check to what it reads back.
 """
 
 from __future__ import annotations
@@ -21,22 +29,13 @@ import os
 import platform
 from typing import Mapping
 
-__all__ = ["BENCH_SCHEMA", "SERVE_BENCH_SCHEMA", "STORE_BENCH_SCHEMA",
-           "speedup_entry", "write_bench_report", "load_bench_report",
-           "write_serve_bench_report", "load_serve_bench_report",
-           "write_store_bench_report", "load_store_bench_report",
-           "REPORT_ENV", "report_requested"]
+from ..store import atomic_write_bytes
+
+__all__ = ["BENCH_SCHEMA", "speedup_entry", "write_bench_report",
+           "load_bench_report", "REPORT_ENV", "report_requested"]
 
 #: Schema tag of the report format; bump when the layout changes.
-BENCH_SCHEMA = "repro-bench-nn-v1"
-
-#: Schema tag of the serving-load report (``BENCH_serve.json``): entries
-#: carry requests/s and p50/p99 latency percentiles per load shape.
-SERVE_BENCH_SCHEMA = "repro-bench-serve-v1"
-
-#: Schema tag of the artifact-store report (``BENCH_store.json``):
-#: entries carry raw vs checksummed read timings and the overhead ratio.
-STORE_BENCH_SCHEMA = "repro-bench-store-v1"
+BENCH_SCHEMA = "repro-bench-v1"
 
 #: Benches write their tracked ``BENCH_*.json`` report only when this
 #: environment variable is ``1`` (the nightly CI job sets it), so a plain
@@ -50,10 +49,11 @@ def report_requested() -> bool:
 
 
 def speedup_entry(float32_s: float, float64_s: float,
-                  **extra) -> dict:
+                  **extra: float) -> dict:
     """One benchmark entry: per-dtype seconds plus the speedup ratio.
 
-    Extra keyword values (e.g. an F1-parity delta) are stored verbatim.
+    Extra keyword values (e.g. an F1-parity delta) are stored verbatim;
+    like every entry field they must be numbers.
     """
     if float32_s <= 0 or float64_s <= 0:
         raise ValueError("timings must be positive")
@@ -66,33 +66,29 @@ def speedup_entry(float32_s: float, float64_s: float,
     return entry
 
 
-def write_bench_report(path: str, entries: Mapping[str, dict],
-                       perf_ops: dict | None = None,
-                       context: dict | None = None) -> str:
-    """Write the benchmark report to ``path`` and return the path.
+def write_bench_report(path: str, entries: Mapping[str, dict], *,
+                       context: dict | None = None,
+                       perf_ops: dict | None = None) -> str:
+    """Validate and atomically write a benchmark report; return ``path``.
 
     Parameters
     ----------
     entries:
-        Mapping of benchmark name (``train_epoch``, ``conv2d_forward``,
-        ``spmm``, ``serve_flush`` ...) to entry dicts — typically from
+        Mapping of benchmark name (``train_epoch``, ``cold_burst_1worker``,
+        ``stage_graph_load`` ...) to entry dicts of numbers — e.g. from
         :func:`speedup_entry`.
+    context:
+        Optional free-form machine and workload context (suite sizes,
+        rounds ...).
     perf_ops:
         Optional op-level snapshot (:func:`repro.perf.perf_report`),
         giving the per-op breakdown behind the headline numbers.
-    context:
-        Optional free-form machine context (suite sizes, rounds ...).
+
+    Raises ``ValueError`` — leaving any previous file untouched — if the
+    report would not pass :func:`load_bench_report`.
     """
-    return _write_report(path, BENCH_SCHEMA, entries, perf_ops, context)
-
-
-def _write_report(path: str, schema: str, entries: Mapping[str, dict],
-                  perf_ops: dict | None = None,
-                  context: dict | None = None) -> str:
-    if not entries:
-        raise ValueError("refusing to write an empty benchmark report")
     report = {
-        "schema": schema,
+        "schema": BENCH_SCHEMA,
         "platform": {
             "python": platform.python_version(),
             "machine": platform.machine(),
@@ -103,13 +99,9 @@ def _write_report(path: str, schema: str, entries: Mapping[str, dict],
     }
     if perf_ops is not None:
         report["perf_ops"] = perf_ops
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
+    _validate(path, report)
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    atomic_write_bytes(path, text.encode())
     return path
 
 
@@ -117,67 +109,20 @@ def load_bench_report(path: str) -> dict:
     """Read and validate a report written by :func:`write_bench_report`.
 
     Raises ``ValueError`` on schema mismatch or a structurally invalid
-    file — the CI smoke test calls this, so a reporter regression fails
-    tier-1 instead of silently producing an undiffable artifact.
+    file, so the nightly CI job fails instead of uploading an undiffable
+    artifact, and a tier-1 test holds every tracked report to the format.
     """
-    return _load_report(path, BENCH_SCHEMA,
-                        numeric_suffixes=("_s", "speedup_vs_float64"))
-
-
-def write_serve_bench_report(path: str, entries: Mapping[str, dict],
-                             context: dict | None = None) -> str:
-    """Write the sustained-load serving report (``BENCH_serve.json``).
-
-    Entries come from the serving benches: per load shape, the observed
-    ``requests_per_s`` and latency percentiles (``p50_ms``/``p99_ms``),
-    plus whatever shape parameters (workers, request counts) make the
-    number interpretable.  Same envelope and atomic-write discipline as
-    the ``BENCH_nn.json`` trajectory, different schema tag.
-    """
-    return _write_report(path, SERVE_BENCH_SCHEMA, entries, None, context)
-
-
-def load_serve_bench_report(path: str) -> dict:
-    """Read and validate a ``BENCH_serve.json`` report.
-
-    The nightly CI job calls this after the sustained-load bench, so an
-    invalid or empty artifact fails the job instead of uploading noise.
-    """
-    return _load_report(
-        path, SERVE_BENCH_SCHEMA,
-        numeric_suffixes=("_s", "_ms", "requests_per_s", "speedup"))
-
-
-def write_store_bench_report(path: str, entries: Mapping[str, dict],
-                             context: dict | None = None) -> str:
-    """Write the artifact-store overhead report (``BENCH_store.json``).
-
-    Entries come from the store micro-bench: per payload shape, the
-    best-of-N wall time of raw (unverified) vs checksummed warm reads
-    (``raw_read_s`` / ``verified_read_s``) and their
-    ``overhead_ratio`` — the number the ≤1.10× budget in
-    ``benchmarks/test_store_overhead.py`` is asserted on.
-    """
-    return _write_report(path, STORE_BENCH_SCHEMA, entries, None, context)
-
-
-def load_store_bench_report(path: str) -> dict:
-    """Read and validate a ``BENCH_store.json`` report.
-
-    The nightly CI job calls this after the store bench, so an invalid
-    or empty artifact fails the job instead of uploading noise.
-    """
-    return _load_report(path, STORE_BENCH_SCHEMA,
-                        numeric_suffixes=("_s", "_ratio", "_bytes"))
-
-
-def _load_report(path: str, schema: str,
-                 numeric_suffixes: tuple[str, ...]) -> dict:
     with open(path) as handle:
         report = json.load(handle)
-    if report.get("schema") != schema:
-        raise ValueError(f"{path}: unknown bench schema "
-                         f"{report.get('schema')!r} (expected {schema!r})")
+    return _validate(path, report)
+
+
+def _validate(path: str, report: dict) -> dict:
+    """Check the report envelope and that every entry field is a number."""
+    schema = report.get("schema") if isinstance(report, dict) else None
+    if schema != BENCH_SCHEMA:
+        raise ValueError(f"{path}: unknown bench schema {schema!r} "
+                         f"(expected {BENCH_SCHEMA!r})")
     entries = report.get("entries")
     if not isinstance(entries, dict) or not entries:
         raise ValueError(f"{path}: report has no entries")
@@ -185,8 +130,10 @@ def _load_report(path: str, schema: str,
         if not isinstance(entry, dict):
             raise ValueError(f"{path}: entry {name!r} is not an object")
         for key, value in entry.items():
-            if key.endswith(numeric_suffixes) \
-                    and not isinstance(value, (int, float)):
+            if isinstance(value, bool) \
+                    or not isinstance(value, (int, float)):
                 raise ValueError(f"{path}: entry {name!r} field {key!r} "
-                                 f"is not numeric")
+                                 f"is not a number")
+    if "perf_ops" in report and not isinstance(report["perf_ops"], dict):
+        raise ValueError(f"{path}: perf_ops is not an object")
     return report

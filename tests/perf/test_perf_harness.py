@@ -1,12 +1,13 @@
 """Tests for the perf harness: op timers, allocation counters, reporter.
 
-The reporter smoke test is the tier-1 guard the CI nightly bench job
-relies on: if ``write_bench_report`` ever emits JSON that
-``load_bench_report`` rejects, it fails here on every push instead of
-silently corrupting the nightly ``BENCH_nn.json`` artifact.
+The reporter tests are the tier-1 guard the CI nightly bench job relies
+on: if ``write_bench_report`` ever emits JSON that ``load_bench_report``
+rejects, or a tracked ``BENCH_*.json`` drifts from the loader, it fails
+here on every push instead of in the nightly bench job.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,12 +86,6 @@ class TestRegistry:
         # The decoder keeps its own names: nn.conv2d_s counts Conv2d only.
         assert not any(name.startswith("conv2d.") for name in ops)
 
-    def test_measure_returns_time_and_peak(self):
-        m = perf.measure(lambda: np.zeros(1 << 16))
-        assert m.seconds >= 0.0
-        assert m.peak_bytes > 0
-        assert isinstance(m.value, np.ndarray)
-
 
 class TestBenchReporter:
     def test_speedup_entry_math(self):
@@ -104,10 +99,17 @@ class TestBenchReporter:
 
     def test_write_and_load_roundtrip(self, tmp_path):
         path = str(tmp_path / "BENCH_nn.json")
+        serve_entry = {"workers": 2, "requests": 8, "requests_per_s": 3.0,
+                       "wall_s": 2.6, "p50_ms": 2142.7, "p99_ms": 2637.9,
+                       "speedup": 0.76}
+        store_entry = {"raw_read_s": 8.0e-5, "verified_read_s": 8.3e-5,
+                       "overhead_ratio": 1.03, "payload_bytes": 24744}
         entries = {
             "train_epoch": speedup_entry(0.5, 1.0, f1_float32=40.0,
                                          f1_float64=40.2),
             "spmm": speedup_entry(0.001, 0.002),
+            "cold_burst_2workers": serve_entry,
+            "stage_graph_load": store_entry,
         }
         perf.enable()
         perf.PERF.record("spmm.forward", 0.001, 64)
@@ -121,6 +123,8 @@ class TestBenchReporter:
             == pytest.approx(2.0)
         assert report["perf_ops"]["ops"]["spmm.forward"]["calls"] == 1
         assert report["context"]["rounds"] == 3
+        assert report["entries"]["cold_burst_2workers"] == serve_entry
+        assert report["entries"]["stage_graph_load"] == store_entry
         # The artifact must be plain parseable JSON for CI tooling.
         with open(path) as handle:
             assert json.load(handle)["entries"]
@@ -146,8 +150,34 @@ class TestBenchReporter:
 
     def test_load_rejects_non_numeric_timing(self, tmp_path):
         path = tmp_path / "bad2.json"
-        path.write_text(json.dumps({
-            "schema": BENCH_SCHEMA,
-            "entries": {"a": {"float32_s": "fast"}}}))
-        with pytest.raises(ValueError):
+        # Every entry field must be a number, whatever its name.
+        for entry in ({"float32_s": "fast"}, {"note": "fast"},
+                      {"overhead_ratio": True}):
+            path.write_text(json.dumps({"schema": BENCH_SCHEMA,
+                                        "entries": {"a": entry}}))
+            with pytest.raises(ValueError, match="is not a number"):
+                load_bench_report(str(path))
+
+    def test_load_rejects_non_dict_perf_ops(self, tmp_path):
+        path = tmp_path / "bad3.json"
+        path.write_text(json.dumps({"schema": BENCH_SCHEMA,
+                                    "entries": {"a": {"wall_s": 1.0}},
+                                    "perf_ops": ["spmm.forward"]}))
+        with pytest.raises(ValueError, match="perf_ops"):
             load_bench_report(str(path))
+
+    def test_invalid_report_is_not_written(self, tmp_path):
+        path = str(tmp_path / "BENCH_serve.json")
+        write_bench_report(path, {"a": {"p50_ms": 1.0}})
+        with pytest.raises(ValueError, match="is not a number"):
+            write_bench_report(path, {"a": {"p50_ms": "slow"}})
+        # The previous report is left in place, still valid.
+        assert load_bench_report(path)["entries"] == {"a": {"p50_ms": 1.0}}
+
+    def test_tracked_reports_pass_the_loader(self):
+        root = Path(__file__).resolve().parents[2]
+        paths = sorted(root.glob("BENCH_*.json"))
+        assert {p.name for p in paths} >= {
+            "BENCH_nn.json", "BENCH_serve.json", "BENCH_store.json"}
+        for path in paths:
+            assert load_bench_report(str(path))["entries"]
