@@ -12,6 +12,12 @@ disk under ``REPRO_CACHE_DIR``); training budgets are controlled by:
 Set ``REPRO_SEEDS=5`` for the paper-faithful protocol; the defaults keep a
 full benchmark run within minutes on a laptop CPU.
 
+Tables and figures go through the :func:`save_artifact` fixture into the
+:func:`artifacts_dir` fixture's directory.  That is the tracked
+``artifacts/`` only when ``REPRO_BENCH_REPORT=1`` is set; a plain run
+writes them to a session temporary directory, so tier-1 leaves every
+tracked file untouched.
+
 The micro-benches that track a ``BENCH_*.json`` report at the repo root
 name it with a module-level ``BENCH_REPORT = (file name, context)`` and
 record into the :func:`bench_report` fixture.
@@ -72,19 +78,25 @@ def dataset_duo(suite_graphs):
 
 
 @pytest.fixture(scope="session")
-def artifacts_dir():
+def artifacts_dir(tmp_path_factory) -> str:
+    """``artifacts/`` under ``REPRO_BENCH_REPORT=1``, else a temp dir."""
+    if not report_requested():
+        return str(tmp_path_factory.mktemp("artifacts"))
     os.makedirs(ARTIFACTS, exist_ok=True)
     return ARTIFACTS
 
 
-def save_artifact(name: str, text: str) -> str:
-    """Write a text artifact and echo it to stdout."""
-    os.makedirs(ARTIFACTS, exist_ok=True)
-    path = os.path.join(ARTIFACTS, name)
-    with open(path, "w") as handle:
-        handle.write(text + "\n")
-    print("\n" + text)
-    return path
+@pytest.fixture(scope="session")
+def save_artifact(artifacts_dir):
+    """``save_artifact(name, text)``: write a text artifact into
+    :func:`artifacts_dir`, echo it to stdout and return its path."""
+    def save(name: str, text: str) -> str:
+        path = os.path.join(artifacts_dir, name)
+        with open(path, "w") as handle:
+            handle.write(text + "\n")
+        print("\n" + text)
+        return path
+    return save
 
 
 @pytest.fixture(scope="module")

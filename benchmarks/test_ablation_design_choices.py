@@ -15,8 +15,6 @@ import pytest
 
 from repro.train import TrainConfig, evaluate, fit
 
-from conftest import save_artifact
-
 GAMMAS = (0.3, 0.5, 0.7, 1.0)
 WIDTHS = (16, 32, 64)
 
@@ -68,7 +66,7 @@ def test_sampling_vs_full(mode, dataset_uni, num_seeds, num_epochs,
     assert np.isfinite(f1)
 
 
-def test_design_choice_report(benchmark):
+def test_design_choice_report(save_artifact, benchmark):
     if not (GAMMA_RESULTS and WIDTH_RESULTS and SAMPLING_RESULTS):
         pytest.skip("sweeps did not all run")
 

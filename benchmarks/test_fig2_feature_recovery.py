@@ -13,8 +13,6 @@ import numpy as np
 from repro.features import net_density_maps, rudy_map
 from repro.nn import Tensor, spmm
 
-from conftest import save_artifact
-
 
 def _recover_all(graph):
     """One-step message passing recovery of H/V net density and RUDY."""
@@ -28,7 +26,7 @@ def _recover_all(graph):
     return spmm(graph.op_nc_sum, Tensor(payload)).data
 
 
-def test_fig2_feature_recovery(suite_graphs, benchmark):
+def test_fig2_feature_recovery(suite_graphs, save_artifact, benchmark):
     graph = suite_graphs[0]
 
     recovered = benchmark(_recover_all, graph)

@@ -4,22 +4,23 @@ The paper visualises uni-channel predictions on three test designs
 spanning congestion rates 1.13 % – 47.7 %, showing LHNN distinguishes
 low- from high-congestion circuits while CNNs predict an "averaged"
 congestion level (false positives on quiet designs, false negatives on hot
-ones).  This bench trains LHNN and U-Net once, renders ground truth vs
-prediction panels for the least- and most-congested test designs, writes
-PGM images + ASCII panels to ``artifacts/``, and checks the paper's
-calibration claim: LHNN's predicted positive rate tracks the true rate
-across designs better than U-Net's.
+ones).  This bench trains LHNN and U-Net once and renders ground truth
+vs prediction panels for the least-, median- and most-congested test
+designs as PGM images + ASCII panels (see ``benchmarks/conftest.py`` for
+where they are written).  Below the per-design rate table it reports
+each model's rate-tracking error over the three designs: the mean
+|predicted − true congestion rate|, the statistic the paper's claim is
+about.  It reports that error without asserting on it; its one check is
+that LHNN's predicted rate rises with the true rate.
 """
 
 import os
 
 import numpy as np
 
-from repro.eval import comparison_panel, write_pgm
+from repro.eval import comparison_panel, rate_tracking_error, write_pgm
 from repro.nn import Tensor, no_grad
 from repro.train import TrainConfig, fit, predict_probs
-
-from conftest import save_artifact
 
 
 def _train_models(dataset, epochs):
@@ -30,7 +31,8 @@ def _train_models(dataset, epochs):
     return lhnn, unet, crop
 
 
-def test_fig4_visualization(dataset_uni, num_epochs, artifacts_dir, benchmark):
+def test_fig4_visualization(dataset_uni, num_epochs, artifacts_dir,
+                            save_artifact, benchmark):
     lhnn, unet, crop = benchmark.pedantic(
         _train_models, args=(dataset_uni, num_epochs), rounds=1, iterations=1)
 
@@ -41,6 +43,7 @@ def test_fig4_visualization(dataset_uni, num_epochs, artifacts_dir, benchmark):
 
     panels = []
     rate_rows = []
+    maps = {"truth": [], "LHNN": [], "U-net": []}
     lhnn.eval()
     unet.eval()
     with no_grad():
@@ -59,6 +62,9 @@ def test_fig4_visualization(dataset_uni, num_epochs, artifacts_dir, benchmark):
             rate_rows.append((sample.name, true_rate,
                               float((lhnn_map >= 0.5).mean()),
                               float((unet_map >= 0.5).mean())))
+            maps["truth"].append(truth)
+            maps["LHNN"].append(lhnn_map)
+            maps["U-net"].append(unet_map)
             write_pgm(truth, os.path.join(artifacts_dir,
                                           f"fig4_{sample.name}_truth.pgm"))
             write_pgm(lhnn_map, os.path.join(artifacts_dir,
@@ -71,6 +77,10 @@ def test_fig4_visualization(dataset_uni, num_epochs, artifacts_dir, benchmark):
     for name, t, l, u in rate_rows:
         summary.append(f"{name:<14} {100 * t:>8.2f} {100 * l:>8.2f} "
                        f"{100 * u:>8.2f}")
+    for model in ("LHNN", "U-net"):
+        err = rate_tracking_error(maps[model], maps["truth"])
+        summary.append(f"{model} rate-tracking error (mean |pred - true| "
+                       f"rate over {len(picks)} designs): {100 * err:.2f} pp")
     text = "\n".join(summary) + "\n\n" + "\n\n".join(panels)
     save_artifact("fig4_visualization.txt", text)
 

@@ -12,10 +12,8 @@ import numpy as np
 from repro.data.splits import enumerate_splits, select_balanced_split
 from repro.eval import format_table
 
-from conftest import save_artifact
 
-
-def test_table1_dataset_statistics(dataset_uni, benchmark):
+def test_table1_dataset_statistics(dataset_uni, save_artifact, benchmark):
     rates = dataset_uni.congestion_rates(0)
 
     split = benchmark(select_balanced_split, rates, 5)

@@ -20,8 +20,6 @@ import pytest
 from repro.eval import format_table2
 from repro.train import TrainConfig, evaluate, fit, seeded_runs
 
-from conftest import save_artifact
-
 RESULTS: dict[str, dict] = {}
 
 
@@ -61,7 +59,7 @@ def test_table2_cell(model_name, task, dataset_uni, dataset_duo,
     assert 0 <= summary.acc_mean <= 100
 
 
-def test_table2_report(num_seeds, num_epochs, benchmark):
+def test_table2_report(num_seeds, num_epochs, save_artifact, benchmark):
     """Assemble the table and check the headline claim: LHNN wins on F1."""
     if len(RESULTS) < 4:
         pytest.skip("model cells did not all run")

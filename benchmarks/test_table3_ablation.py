@@ -21,8 +21,6 @@ from repro.data import CongestionDataset
 from repro.eval import format_table3
 from repro.train import TrainConfig, evaluate, fit
 
-from conftest import save_artifact
-
 ABLATIONS = {
     "full": {},
     "no FeatureGen edges": {"use_featuregen_edges": False},
@@ -67,7 +65,7 @@ def test_table3_ablation_cell(name, suite_graphs, num_seeds, num_epochs,
     assert np.isfinite(f1)
 
 
-def test_table3_report(num_seeds, num_epochs, benchmark):
+def test_table3_report(num_seeds, num_epochs, save_artifact, benchmark):
     if len(RESULTS) < len(ABLATIONS):
         pytest.skip("ablation cells did not all run")
     text = benchmark(format_table3, RESULTS)

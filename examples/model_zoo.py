@@ -2,8 +2,7 @@
 """Model zoo: train every registered model family through one spec.
 
 Loops :func:`repro.api.run_experiment` over the five registered families
-(LHNN, MLP, GridSAGE, U-Net, Pix2Pix — CongestionNet is left to the
-bench since it needs cell-level data), sharing one prepared workload,
+(LHNN, MLP, GridSAGE, U-Net, Pix2Pix), sharing one prepared workload,
 prints the per-design precision/recall/F1 breakdown for each, and leaves
 one checkpoint + result manifest per family under ``artifacts/``.
 
@@ -17,7 +16,7 @@ import time
 
 from repro.api import (ExperimentSpec, apply_overrides, load_dataset,
                        run_experiment)
-from repro.eval import per_design_report, predicted_rate_table
+from repro.eval import format_table, per_design_report
 from repro.serve.registry import list_families
 
 
@@ -50,7 +49,7 @@ def main() -> None:
     for family, result in results.items():
         rows = per_design_report(result.model, dataset.test_samples(),
                                  crop=base.train.crop)
-        print(predicted_rate_table(
+        print(format_table(
             rows, title=f"{family}: held-out per-design results"))
         print(f"mean F1: {result.metrics['f1']:.2f} %  "
               f"(checkpoint: {result.checkpoint_path})\n")

@@ -9,13 +9,9 @@ data is unavailable.
 from .design import Design, DesignStats, validate_design
 from .bookshelf import BookshelfError, read_aux, read_design, write_design
 from .generator import DesignSpec, generate_design, superblue_suite, SUPERBLUE_IDS
-from .cellgraph import (CellGraph, build_cell_graph, cell_features,
-                        cells_to_gcells, CELL_FEATURE_NAMES)
 
 __all__ = [
     "Design", "DesignStats", "validate_design",
     "BookshelfError", "read_aux", "read_design", "write_design",
     "DesignSpec", "generate_design", "superblue_suite", "SUPERBLUE_IDS",
-    "CellGraph", "build_cell_graph", "cell_features", "cells_to_gcells",
-    "CELL_FEATURE_NAMES",
 ]

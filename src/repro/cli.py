@@ -409,7 +409,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from repro.api import SpecError
-    from repro.eval.reporting import per_design_report, predicted_rate_table
+    from repro.eval import format_table, per_design_report
     from repro.nn import set_default_dtype
     from repro.nn.serialize import CheckpointError
     from repro.serve.registry import (model_dtype, output_channels,
@@ -433,7 +433,7 @@ def cmd_evaluate(args) -> int:
     # report agrees with the train-time held-out metrics.
     crop = (meta.get("experiment") or {}).get("train", {}).get("crop")
     rows = per_design_report(model, dataset.test_samples(), crop=crop)
-    print(predicted_rate_table(rows, title="Held-out per-design results"))
+    print(format_table(rows, title="Held-out per-design results"))
     f1s = [r["F1"] for r in rows]
     print(f"\nmean F1 {np.mean(f1s):.2f} %")
     return 0

@@ -1,13 +1,10 @@
-"""``repro.eval`` — table formatting and congestion-map visualisation."""
+"""``repro.eval`` — table formatting, congestion-map visualisation and
+per-design reporting."""
 
 from .tables import format_table, format_table2, format_table3
 from .visualize import ascii_heatmap, write_pgm, comparison_panel
-from .reporting import per_design_report, predicted_rate_table, markdown_table
-from .calibration import (ReliabilityBin, reliability_bins,
-                          expected_calibration_error, rate_tracking_error)
+from .reporting import per_design_report, rate_tracking_error
 
 __all__ = ["format_table", "format_table2", "format_table3",
            "ascii_heatmap", "write_pgm", "comparison_panel",
-           "per_design_report", "predicted_rate_table", "markdown_table",
-           "ReliabilityBin", "reliability_bins",
-           "expected_calibration_error", "rate_tracking_error"]
+           "per_design_report", "rate_tracking_error"]

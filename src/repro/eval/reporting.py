@@ -3,8 +3,11 @@
 The paper's tables report suite-level averages; for debugging and for the
 EXPERIMENTS.md record we also want the per-circuit breakdown the paper's
 Figure 4 discussion implies (LHNN tracks each circuit's congestion level,
-baselines average across circuits).  This module renders those reports
-from trained models.
+baselines average across circuits).  This module computes those reports
+from trained models (render them with
+:func:`~repro.eval.tables.format_table`), and
+:func:`rate_tracking_error` condenses the Figure 4 claim into one
+number.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ import numpy as np
 from ..data.dataset import GraphSample
 from ..nn import no_grad
 from ..train.metrics import confusion, f1_score, precision, recall
-from .tables import format_table
 
-__all__ = ["per_design_report", "predicted_rate_table", "markdown_table"]
+__all__ = ["per_design_report", "rate_tracking_error"]
 
 
 def per_design_report(model, samples: list[GraphSample],
@@ -56,23 +58,20 @@ def per_design_report(model, samples: list[GraphSample],
     return rows
 
 
-def predicted_rate_table(rows: list[dict], title: str = "") -> str:
-    """Render :func:`per_design_report` rows as an aligned text table."""
-    return format_table(rows, title=title)
+def rate_tracking_error(per_design_prob: list[np.ndarray],
+                        per_design_target: list[np.ndarray],
+                        threshold: float = 0.5) -> float:
+    """Mean |predicted positive rate − true positive rate| across designs.
 
-
-def markdown_table(rows: list[dict], title: str = "") -> str:
-    """Render rows as a GitHub-flavoured markdown table."""
-    if not rows:
-        return title
-    columns = list(rows[0])
-    lines = []
-    if title:
-        lines.append(f"**{title}**")
-        lines.append("")
-    lines.append("| " + " | ".join(str(c) for c in columns) + " |")
-    lines.append("|" + "|".join("---" for _ in columns) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(str(row.get(c, "")) for c in columns)
-                     + " |")
-    return "\n".join(lines)
+    The Figure-4 statistic: a model that predicts an "averaged" congestion
+    level for every circuit has a high tracking error on a suite whose
+    congestion rates vary widely.
+    """
+    if len(per_design_prob) != len(per_design_target):
+        raise ValueError("need one probability array per target array")
+    errors = []
+    for prob, target in zip(per_design_prob, per_design_target):
+        pred_rate = float((np.asarray(prob) >= threshold).mean())
+        true_rate = float(np.asarray(target).mean())
+        errors.append(abs(pred_rate - true_rate))
+    return float(np.mean(errors)) if errors else 0.0

@@ -1,9 +1,12 @@
-"""``repro.models`` — LHNN and the paper's three comparison baselines.
+"""``repro.models`` — LHNN, the paper's three comparison baselines and
+one related-work GNN.
 
 :class:`~repro.models.lhnn.LHNN` (the contribution),
 :class:`~repro.models.mlp_baseline.MLPBaseline` (local features only),
 :class:`~repro.models.unet.UNet` and :class:`~repro.models.pix2pix.Pix2Pix`
-(geometric-receptive-field CNNs).
+(geometric-receptive-field CNNs), and
+:class:`~repro.models.related.GridSAGE` (GraphSAGE on the G-cell lattice,
+paper §2.2).
 """
 
 from .blocks import FeatureGenBlock, HyperMPBlock, LatticeMPBlock
@@ -11,8 +14,7 @@ from .lhnn import LHNN, LHNNConfig, LHNNOutput
 from .mlp_baseline import MLPBaseline
 from .unet import UNet, DoubleConv
 from .pix2pix import Pix2Pix, PatchDiscriminator
-from .attention import EdgeList, GATLayer, segment_softmax
-from .related import CongestionNet, GridSAGE, SAGELayer
+from .related import GridSAGE, SAGELayer
 
 __all__ = [
     "FeatureGenBlock", "HyperMPBlock", "LatticeMPBlock",
@@ -20,6 +22,5 @@ __all__ = [
     "MLPBaseline",
     "UNet", "DoubleConv",
     "Pix2Pix", "PatchDiscriminator",
-    "EdgeList", "GATLayer", "segment_softmax",
-    "CongestionNet", "GridSAGE", "SAGELayer",
+    "GridSAGE", "SAGELayer",
 ]

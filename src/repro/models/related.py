@@ -1,19 +1,13 @@
-"""Related-work GNN baselines from the paper's §2.2.
+"""Related-work GNN baseline from the paper's §2.2.
 
-Neither model appears in the paper's Table 2, but both are named as the
-prior art whose limitations motivate the LH-graph:
+:class:`GridSAGE` (Chen et al. [11]) is GraphSAGE over the G-cell
+*lattice* graph: purely geometric, no netlist topology beyond the
+crafted input features.  It does not appear in the paper's Table 2, but
+it is named as prior art whose limitation motivates the LH-graph.
 
-* :class:`CongestionNet` (Kirby et al. [10]) — GAT over the *cell* graph
-  (cells = nodes, net connectivity = edges): purely topological, no
-  geometric reasoning; per-cell outputs are scattered onto G-cells for
-  evaluation.
-* :class:`GridSAGE` (Chen et al. [11]) — GraphSAGE over the G-cell
-  *lattice* graph: purely geometric, no netlist topology beyond the
-  crafted input features.
-
-The extension bench ``benchmarks/test_related_models.py`` scores them
-against LHNN, demonstrating the paper's argument that either space alone
-is insufficient.
+The extension bench ``benchmarks/test_related_models.py`` scores it
+against LHNN, supporting the paper's argument that the lattice space
+alone is insufficient.
 """
 
 from __future__ import annotations
@@ -25,34 +19,8 @@ from ..nn import functional as F
 from ..nn.layers import Linear, Module
 from ..nn.sparse import SparseMatrix, spmm
 from ..nn.tensor import Tensor
-from .attention import EdgeList, GATLayer
 
-__all__ = ["CongestionNet", "GridSAGE", "SAGELayer"]
-
-
-class CongestionNet(Module):
-    """GAT stack on the cell graph (CongestionNet-style).
-
-    Input: per-cell features; output: per-cell congestion probability.
-    Use :func:`repro.circuit.cellgraph.cells_to_gcells` to compare with
-    grid-level labels.
-    """
-
-    def __init__(self, in_features: int, hidden: int,
-                 rng: np.random.Generator, num_layers: int = 3):
-        super().__init__()
-        if num_layers < 1:
-            raise ValueError("need at least one GAT layer")
-        dims = [in_features] + [hidden] * num_layers
-        self.layers = [GATLayer(dims[i], dims[i + 1], rng)
-                       for i in range(num_layers)]
-        self.head = Linear(hidden, 1, rng)
-
-    def forward(self, features: Tensor, edges: EdgeList) -> Tensor:
-        x = features
-        for layer in self.layers:
-            x = layer(x, edges)
-        return F.sigmoid(self.head(x))
+__all__ = ["GridSAGE", "SAGELayer"]
 
 
 class SAGELayer(Module):

@@ -47,7 +47,7 @@ from .layers import Module, Parameter
 from .tensor import Tensor, as_tensor, get_default_dtype
 
 __all__ = ["im2col", "col2im", "Conv2d", "ConvTranspose2d", "MaxPool2d",
-           "AvgPool2d", "BatchNorm2d", "UpsampleNearest2d", "conv_output_size"]
+           "BatchNorm2d", "conv_output_size"]
 
 
 def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -315,47 +315,6 @@ class MaxPool2d(Module):
             # (n, c, h//k, w//k, k, k) → (n, c, h, w)
             g_full = g_blocks.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
             return (g_full,)
-
-        return Tensor._make(out, (x,), backward)
-
-
-class AvgPool2d(Module):
-    """Non-overlapping average pooling (kernel == stride)."""
-
-    def __init__(self, kernel_size: int = 2):
-        super().__init__()
-        self.k = kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        x = as_tensor(x)
-        n, c, h, w = x.shape
-        k = self.k
-        if h % k or w % k:
-            raise ValueError(f"spatial dims {(h, w)} not divisible by pool {k}")
-        out = x.data.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
-
-        def backward(g):
-            g_full = np.repeat(np.repeat(g, k, axis=2), k, axis=3) / (k * k)
-            return (g_full,)
-
-        return Tensor._make(out, (x,), backward)
-
-
-class UpsampleNearest2d(Module):
-    """Nearest-neighbour upsampling by an integer factor."""
-
-    def __init__(self, scale: int = 2):
-        super().__init__()
-        self.scale = scale
-
-    def forward(self, x: Tensor) -> Tensor:
-        x = as_tensor(x)
-        s = self.scale
-        out = np.repeat(np.repeat(x.data, s, axis=2), s, axis=3)
-        n, c, h, w = x.shape
-
-        def backward(g):
-            return (g.reshape(n, c, h, s, w, s).sum(axis=(3, 5)),)
 
         return Tensor._make(out, (x,), backward)
 

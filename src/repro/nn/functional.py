@@ -7,14 +7,11 @@ unless noted otherwise.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .tensor import Tensor, as_tensor, get_default_dtype
+from .tensor import Tensor, as_tensor
 
 __all__ = [
     "relu", "leaky_relu", "sigmoid", "tanh", "exp", "log", "sqrt",
-    "softmax", "log_softmax", "logsigmoid", "concat", "stack", "where",
-    "dropout", "mse", "binary_cross_entropy", "one_hot",
+    "concat", "stack", "where",
 ]
 
 
@@ -53,35 +50,6 @@ def sqrt(x: Tensor) -> Tensor:
     return as_tensor(x).sqrt()
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    x = as_tensor(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    e = shifted.exp()
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    x = as_tensor(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
-def logsigmoid(x: Tensor) -> Tensor:
-    """Numerically stable ``log(sigmoid(x))`` = ``-softplus(-x)``."""
-    from scipy.special import expit
-
-    x = as_tensor(x)
-    data = -np.logaddexp(0.0, -x.data)
-    sig = expit(x.data)
-
-    def backward(g):
-        return (g * (1.0 - sig),)
-
-    return Tensor._make(data, (x,), backward)
-
-
 def concat(tensors, axis: int = -1) -> Tensor:
     """Concatenate tensors along ``axis`` (differentiable)."""
     return Tensor.concat(tensors, axis=axis)
@@ -95,36 +63,3 @@ def stack(tensors, axis: int = 0) -> Tensor:
 def where(condition, a, b) -> Tensor:
     """Elementwise select (differentiable in ``a`` and ``b``)."""
     return Tensor.where(condition, a, b)
-
-
-def dropout(x: Tensor, p: float, training: bool,
-            rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: zero each element w.p. ``p`` and rescale by 1/(1-p)."""
-    if not training or p <= 0.0:
-        return x
-    if rng is None:
-        rng = np.random.default_rng()
-    mask = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
-    return x * Tensor(mask)
-
-
-def mse(pred: Tensor, target) -> Tensor:
-    """Mean squared error over all elements."""
-    diff = as_tensor(pred) - as_tensor(target)
-    return (diff * diff).mean()
-
-
-def binary_cross_entropy(prob: Tensor, target, eps: float = 1e-7) -> Tensor:
-    """Plain BCE on probabilities, clipped for numerical stability."""
-    prob = as_tensor(prob).clip(eps, 1.0 - eps)
-    target = as_tensor(target)
-    loss = -(target * prob.log() + (1.0 - target) * (1.0 - prob).log())
-    return loss.mean()
-
-
-def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
-    """Non-differentiable one-hot encoding helper."""
-    indices = np.asarray(indices, dtype=np.int64)
-    out = np.zeros((indices.size, num_classes), dtype=get_default_dtype())
-    out[np.arange(indices.size), indices.reshape(-1)] = 1.0
-    return out.reshape(indices.shape + (num_classes,))

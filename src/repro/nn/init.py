@@ -18,8 +18,7 @@ import numpy as np
 
 from .tensor import get_default_dtype
 
-__all__ = ["xavier_uniform", "xavier_normal", "kaiming_uniform",
-           "kaiming_normal", "zeros", "ones", "normal"]
+__all__ = ["xavier_uniform", "kaiming_normal", "zeros", "ones", "normal"]
 
 
 def _cast(values: np.ndarray) -> np.ndarray:
@@ -47,21 +46,6 @@ def xavier_uniform(shape, rng: np.random.Generator, gain: float = 1.0) -> np.nda
     fan_in, fan_out = _fan(tuple(shape))
     a = gain * math.sqrt(6.0 / (fan_in + fan_out))
     return _cast(rng.uniform(-a, a, size=shape))
-
-
-def xavier_normal(shape, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot normal: N(0, gain^2 * 2 / (fan_in + fan_out))."""
-    fan_in, fan_out = _fan(tuple(shape))
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return _cast(rng.normal(0.0, std, size=shape))
-
-
-def kaiming_uniform(shape, rng: np.random.Generator, a: float = math.sqrt(5)) -> np.ndarray:
-    """He uniform (PyTorch's Linear default): U(-b, b), b = sqrt(6/((1+a^2) fan_in))."""
-    fan_in, _ = _fan(tuple(shape))
-    gain = math.sqrt(2.0 / (1.0 + a * a))
-    bound = gain * math.sqrt(3.0 / fan_in)
-    return _cast(rng.uniform(-bound, bound, size=shape))
 
 
 def kaiming_normal(shape, rng: np.random.Generator) -> np.ndarray:

@@ -3,7 +3,7 @@
 The :class:`Module` base class provides parameter registration, train/eval
 mode switching and state-dict (de)serialisation.  The concrete layers here
 cover everything the paper's architecture diagram (Figure 3) uses: linear
-layers ("Lin"), MLPs, residual MLP blocks ("Res"), and simple containers.
+layers ("Lin"), MLPs and residual MLP blocks ("Res").
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from . import init as init_mod
 from .tensor import Tensor
 
 __all__ = ["Parameter", "Module", "Linear", "Identity", "Activation",
-           "Sequential", "MLP", "ResidualMLP", "LayerNorm", "Dropout"]
+           "MLP", "ResidualMLP"]
 
 
 class Parameter(Tensor):
@@ -210,56 +210,6 @@ class Linear(Module):
         if self.bias is not None:
             out = out + self.bias
         return out
-
-
-class Dropout(Module):
-    """Inverted dropout module (active only in training mode)."""
-
-    def __init__(self, p: float = 0.5, rng: np.random.Generator | None = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.p = p
-        self.rng = rng if rng is not None else np.random.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self.training, self.rng)
-
-
-class LayerNorm(Module):
-    """Layer normalisation over the last dimension."""
-
-    def __init__(self, dim: int, eps: float = 1e-5):
-        super().__init__()
-        self.gamma = Parameter(init_mod.ones(dim))
-        self.beta = Parameter(init_mod.zeros(dim))
-        self.eps = eps
-
-    def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / (var + self.eps).sqrt()
-        return normed * self.gamma + self.beta
-
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *layers: Module):
-        super().__init__()
-        self.layers = list(layers)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def __iter__(self):
-        return iter(self.layers)
-
-    def __len__(self) -> int:
-        return len(self.layers)
 
 
 class MLP(Module):

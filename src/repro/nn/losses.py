@@ -25,8 +25,7 @@ import numpy as np
 from .layers import Module
 from .tensor import Tensor, as_tensor
 
-__all__ = ["MSELoss", "BCELoss", "GammaWeightedBCE", "JointLoss",
-           "GANLoss", "L1Loss"]
+__all__ = ["MSELoss", "GammaWeightedBCE", "JointLoss", "GANLoss"]
 
 
 class MSELoss(Module):
@@ -35,27 +34,6 @@ class MSELoss(Module):
     def forward(self, pred: Tensor, target) -> Tensor:
         diff = as_tensor(pred) - as_tensor(target)
         return (diff * diff).mean()
-
-
-class L1Loss(Module):
-    """Mean absolute error (used by the Pix2Pix generator objective)."""
-
-    def forward(self, pred: Tensor, target) -> Tensor:
-        return (as_tensor(pred) - as_tensor(target)).abs().mean()
-
-
-class BCELoss(Module):
-    """Binary cross-entropy on probabilities, clipped for stability."""
-
-    def __init__(self, eps: float = 1e-7):
-        super().__init__()
-        self.eps = eps
-
-    def forward(self, prob: Tensor, target) -> Tensor:
-        prob = as_tensor(prob).clip(self.eps, 1.0 - self.eps)
-        target = as_tensor(target)
-        loss = -(target * prob.log() + (1.0 - target) * (1.0 - prob).log())
-        return loss.mean()
 
 
 class GammaWeightedBCE(Module):

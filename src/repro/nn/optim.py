@@ -1,15 +1,15 @@
 """Optimisers and learning-rate schedules.
 
 The paper trains LHNN with Adam at learning rates 2e-3 and 5e-4; we provide
-Adam (with optional decoupled weight decay), plain SGD with momentum, global
-gradient-norm clipping and a simple step/cosine schedule facility.
+Adam (with optional decoupled weight decay), global gradient-norm clipping
+and the paper's two-phase step schedule.
 
-Both optimisers update entirely in place: every elementwise op writes into
-the parameter, its state buffers (momentum / first / second moments) or a
-per-parameter scratch buffer via ``np.multiply/add/... (..., out=)``.  A
-step therefore allocates nothing after the first call — at float32 on
-CPU the old temporary-per-expression ``Adam.step`` was a measurable
-slice of small-model training time.  Gradients are treated as consumable:
+Adam updates entirely in place: every elementwise op writes into the
+parameter, its state buffers (first / second moments) or a per-parameter
+scratch buffer via ``np.multiply/add/... (..., out=)``.  A step therefore
+allocates nothing after the first call — at float32 on CPU the old
+temporary-per-expression ``Adam.step`` was a measurable slice of
+small-model training time.  Gradients are treated as consumable:
 ``step`` may write into ``p.grad`` (``clip_grad_norm`` always has), and
 ``zero_grad`` remains the per-step reset.
 """
@@ -24,8 +24,7 @@ import numpy as np
 from ..perf import PERF
 from .layers import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm", "StepLR", "CosineLR",
-           "two_phase_lr"]
+__all__ = ["Optimizer", "Adam", "clip_grad_norm", "StepLR", "two_phase_lr"]
 
 
 class Optimizer:
@@ -55,42 +54,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with classical momentum.
-
-    The update runs fully in place (see module notes): no per-step
-    temporaries beyond the lazily allocated scratch buffer.
-    """
-
-    def __init__(self, params, lr: float = 1e-2, momentum: float = 0.0,
-                 weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        t0 = _perf_counter() if PERF.enabled else 0.0
-        for i, (p, v) in enumerate(zip(self.params, self._velocity)):
-            if p.grad is None:
-                continue
-            g = p.grad
-            buf = self._buf(i, p)
-            if self.weight_decay:
-                np.multiply(p.data, self.weight_decay, out=buf)
-                np.add(g, buf, out=g)
-            if self.momentum:
-                if v.dtype != p.data.dtype:
-                    v = self._velocity[i] = v.astype(p.data.dtype)
-                np.multiply(v, self.momentum, out=v)
-                np.add(v, g, out=v)
-                g = v
-            np.multiply(g, self.lr, out=buf)
-            np.subtract(p.data, buf, out=p.data)
-        if PERF.enabled:
-            PERF.record("optimizer.step", _perf_counter() - t0)
 
 
 class Adam(Optimizer):
@@ -205,21 +168,3 @@ def two_phase_lr(optimizer: Optimizer, epochs: int, lr_final: float) -> StepLR:
     step_size = (epochs + 1) // 2
     return StepLR(optimizer, step_size=step_size,
                   gamma=lr_final / optimizer.lr)
-
-
-class CosineLR:
-    """Cosine annealing from the base lr to ``eta_min`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0):
-        self.optimizer = optimizer
-        self.t_max = t_max
-        self.eta_min = eta_min
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> None:
-        """Advance one epoch and update the learning rate."""
-        self.epoch += 1
-        frac = min(self.epoch, self.t_max) / self.t_max
-        self.optimizer.lr = (self.eta_min + (self.base_lr - self.eta_min)
-                             * 0.5 * (1.0 + math.cos(math.pi * frac)))

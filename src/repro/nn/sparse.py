@@ -33,8 +33,7 @@ import scipy.sparse as sp
 from ..perf import PERF
 from .tensor import Tensor, as_tensor, get_default_dtype
 
-__all__ = ["SparseMatrix", "spmm", "row_normalize", "degree_vector",
-           "block_diag"]
+__all__ = ["SparseMatrix", "spmm", "row_normalize", "block_diag"]
 
 
 class SparseMatrix:
@@ -153,12 +152,6 @@ class SparseMatrix:
         m = sp.coo_matrix((vals, (np.asarray(rows), np.asarray(cols))),
                           shape=shape)
         return SparseMatrix(m.tocsr(), dtype=dtype)
-
-
-def degree_vector(adj: SparseMatrix, axis: int = 1) -> np.ndarray:
-    """Degree vector of a 0/1 adjacency: axis=1 → row degrees (paper's D, P);
-    axis=0 → column degrees (paper's B)."""
-    return adj.row_sums() if axis == 1 else adj.col_sums()
 
 
 def row_normalize(adj: SparseMatrix) -> SparseMatrix:

@@ -5,14 +5,14 @@ row legalisation and the :func:`~repro.placement.placer.place` driver that
 chains them.
 """
 
-from .hpwl import hpwl, per_net_hpwl, density_map, density_overflow
+from .hpwl import hpwl, per_net_hpwl, density_map
 from .quadratic import QuadraticPlacer, solve_quadratic
 from .spreading import SpreadingConfig, compute_bin_density, spread, spread_step
 from .legalize import legalize, overlap_count, row_segments
 from .placer import PlacementConfig, PlacementResult, place
 
 __all__ = [
-    "hpwl", "per_net_hpwl", "density_map", "density_overflow",
+    "hpwl", "per_net_hpwl", "density_map",
     "QuadraticPlacer", "solve_quadratic",
     "SpreadingConfig", "compute_bin_density", "spread", "spread_step",
     "legalize", "overlap_count", "row_segments",

@@ -1,8 +1,9 @@
 """Placement quality metrics.
 
 Half-perimeter wirelength (HPWL) is the classical placement objective, and
-bin-density overflow is the spreading constraint; both are reported by the
-placer driver and asserted on by tests.
+the per-bin cell-area density map shows how well spreading met its
+density target; both are reported by the placer driver and asserted on
+by tests.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 from ..circuit.design import Design
 from .spreading import _bin_overlap_area
 
-__all__ = ["hpwl", "per_net_hpwl", "density_map", "density_overflow"]
+__all__ = ["hpwl", "per_net_hpwl", "density_map"]
 
 
 def per_net_hpwl(design: Design) -> np.ndarray:
@@ -40,9 +41,3 @@ def density_map(design: Design, bins_x: int, bins_y: int,
     area = _bin_overlap_area(design, mask, bins_x, bins_y)
     return area / (((xh - xl) / bins_x) * ((yh - yl) / bins_y))
 
-
-def density_overflow(design: Design, bins_x: int = 16, bins_y: int = 16,
-                     target: float = 1.0) -> float:
-    """Total overflow area fraction above ``target`` density."""
-    d = density_map(design, bins_x, bins_y)
-    return float(np.maximum(d - target, 0.0).sum() / (bins_x * bins_y))

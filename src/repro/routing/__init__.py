@@ -11,16 +11,14 @@ from .steiner import decompose_net, mst_edges, net_terminals
 from .pattern import (l_paths, z_paths, path_cost, best_pattern_path,
                       straight_path)
 from .maze import astar_route
-from .router import RouterConfig, RoutingResult, GlobalRouter, route_design
+from .router import RouterConfig, RoutingResult, GlobalRouter
 from .congestion import CongestionMaps, extract_maps, congestion_rate
-from .layer_assign import LayerStats, assign_layers, via_map_of_paths
 
 __all__ = [
     "RoutingGrid",
     "decompose_net", "mst_edges", "net_terminals",
     "l_paths", "z_paths", "path_cost", "best_pattern_path", "straight_path",
     "astar_route",
-    "RouterConfig", "RoutingResult", "GlobalRouter", "route_design",
+    "RouterConfig", "RoutingResult", "GlobalRouter",
     "CongestionMaps", "extract_maps", "congestion_rate",
-    "LayerStats", "assign_layers", "via_map_of_paths",
 ]

@@ -27,7 +27,7 @@ from .maze import astar_route
 from .pattern import best_pattern_path
 from .steiner import decompose_net, net_terminals
 
-__all__ = ["RouterConfig", "RoutingResult", "GlobalRouter", "route_design"]
+__all__ = ["RouterConfig", "RoutingResult", "GlobalRouter"]
 
 
 @dataclass
@@ -155,7 +155,3 @@ class GlobalRouter:
             rerouted_segments=rerouted,
         )
 
-
-def route_design(design: Design, config: RouterConfig | None = None) -> RoutingResult:
-    """Convenience wrapper: route ``design`` and return the result."""
-    return GlobalRouter(design, config).run()

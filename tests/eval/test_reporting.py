@@ -1,10 +1,10 @@
-"""Tests for per-design reporting."""
+"""Tests for per-design reporting and the rate-tracking error."""
 
 import numpy as np
 import pytest
 
 from repro.data import CongestionDataset
-from repro.eval import markdown_table, per_design_report, predicted_rate_table
+from repro.eval import format_table, per_design_report, rate_tracking_error
 from repro.train import TrainConfig, fit
 
 
@@ -45,20 +45,29 @@ class TestPerDesignReport:
 
     def test_table_render(self, model, dataset):
         rows = per_design_report(model, dataset.test_samples())
-        text = predicted_rate_table(rows, title="X")
+        text = format_table(rows, title="X")
         assert text.startswith("X")
         assert "design" in text
 
 
-class TestMarkdownTable:
-    def test_structure(self):
-        rows = [{"a": 1, "b": 2}]
-        md = markdown_table(rows, title="T")
-        lines = md.split("\n")
-        assert lines[0] == "**T**"
-        assert lines[2].startswith("| a | b |")
-        assert lines[3] == "|---|---|"
-        assert lines[4] == "| 1 | 2 |"
+class TestRateTracking:
+    def test_perfect_tracking(self):
+        probs = [np.array([0.9, 0.1]), np.array([0.9, 0.9])]
+        targets = [np.array([1.0, 0.0]), np.array([1.0, 1.0])]
+        assert rate_tracking_error(probs, targets) == pytest.approx(0.0)
+
+    def test_averaged_predictor_penalised(self):
+        """A model predicting ~20 % positives everywhere has high tracking
+        error on designs with 0 % and 50 % true rates."""
+        flat = [np.full(100, 0.6) * (np.arange(100) < 20)  # 20% above 0.5
+                for _ in range(2)]
+        targets = [np.zeros(100), np.concatenate([np.ones(50), np.zeros(50)])]
+        err = rate_tracking_error(flat, targets)
+        assert err == pytest.approx((0.2 + 0.3) / 2)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            rate_tracking_error([np.zeros(2)], [])
 
     def test_empty(self):
-        assert markdown_table([], title="T") == "T"
+        assert rate_tracking_error([], []) == 0.0

@@ -1,11 +1,10 @@
-"""Tests for the convolution stack: im2col, Conv2d, ConvTranspose2d, pooling,
-batch-norm, upsampling."""
+"""Tests for the convolution stack: im2col, Conv2d, ConvTranspose2d,
+max-pooling, batch-norm."""
 
 import numpy as np
 import pytest
 
-from repro.nn import (AvgPool2d, BatchNorm2d, Conv2d, ConvTranspose2d,
-                      MaxPool2d, Tensor, UpsampleNearest2d)
+from repro.nn import BatchNorm2d, Conv2d, ConvTranspose2d, MaxPool2d, Tensor
 from repro.nn.conv import col2im, conv_output_size, im2col
 
 
@@ -122,22 +121,6 @@ class TestPooling:
     def test_maxpool_rejects_indivisible(self):
         with pytest.raises(ValueError):
             MaxPool2d(2)(Tensor(np.zeros((1, 1, 5, 4))))
-
-    def test_avgpool_value_and_grad(self):
-        x = Tensor(np.arange(4.0).reshape(1, 1, 2, 2), requires_grad=True)
-        out = AvgPool2d(2)(x)
-        assert out.data.reshape(()) == pytest.approx(1.5)
-        out.sum().backward()
-        assert np.allclose(x.grad, 0.25)
-
-    def test_upsample_nearest(self):
-        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2),
-                   requires_grad=True)
-        out = UpsampleNearest2d(2)(x)
-        assert out.shape == (1, 1, 4, 4)
-        assert np.allclose(out.data[0, 0, :2, :2], 1.0)
-        out.sum().backward()
-        assert np.allclose(x.grad, 4.0)
 
 
 class TestBatchNorm2d:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn import (Activation, Dropout, Identity, LayerNorm, Linear,
-                      MLP, Module, Parameter, ResidualMLP, Sequential, Tensor)
+from repro.nn import (Activation, Identity, Linear, MLP, Module, ResidualMLP,
+                      Tensor)
 
 
 @pytest.fixture
@@ -35,7 +35,7 @@ class TestModule:
         assert len(Shared().parameters()) == 2
 
     def test_train_eval_propagates(self, rng):
-        model = Sequential(Linear(2, 2, rng), Dropout(0.5))
+        model = ResidualMLP(2, 4, 3, rng)
         model.eval()
         assert all(not m.training for m in model.modules())
         model.train()
@@ -131,29 +131,3 @@ class TestResidualMLP:
             p.data[...] = 0.0
         x = np.random.default_rng(0).normal(size=(2, 3))
         assert np.allclose(r(Tensor(x)).data, x)
-
-
-class TestLayerNormDropout:
-    def test_layernorm_normalizes(self, rng):
-        ln = LayerNorm(16)
-        x = np.random.default_rng(0).normal(3.0, 5.0, size=(4, 16))
-        out = ln(Tensor(x)).data
-        assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-6)
-        assert np.allclose(out.std(axis=-1), 1.0, atol=1e-2)
-
-    def test_dropout_eval_is_identity(self):
-        d = Dropout(0.9)
-        d.eval()
-        x = np.ones((5, 5))
-        assert np.allclose(d(Tensor(x)).data, x)
-
-    def test_dropout_training_scales(self):
-        d = Dropout(0.5, rng=np.random.default_rng(0))
-        out = d(Tensor(np.ones((100, 100)))).data
-        kept = out[out > 0]
-        assert np.allclose(kept, 2.0)
-        assert 0.4 < (out > 0).mean() < 0.6
-
-    def test_dropout_invalid_p(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)

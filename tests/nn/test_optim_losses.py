@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.nn import (Adam, BCELoss, CosineLR, GammaWeightedBCE, GANLoss,
-                      JointLoss, L1Loss, Linear, MLP, MSELoss, Parameter,
-                      SGD, StepLR, Tensor, clip_grad_norm, two_phase_lr)
+from repro.nn import (Adam, GammaWeightedBCE, GANLoss, JointLoss, MLP,
+                      MSELoss, Parameter, StepLR, Tensor, clip_grad_norm,
+                      two_phase_lr)
 from repro.nn import functional as F
 
 
@@ -15,28 +15,6 @@ def rng():
 
 
 class TestOptimizers:
-    def test_sgd_step_direction(self):
-        p = Parameter(np.array([1.0]))
-        p.grad = np.array([0.5])
-        SGD([p], lr=0.1).step()
-        assert p.data[0] == pytest.approx(0.95)
-
-    def test_sgd_momentum_accumulates(self):
-        p = Parameter(np.array([0.0]))
-        opt = SGD([p], lr=1.0, momentum=0.9)
-        p.grad = np.array([1.0])
-        opt.step()
-        first = p.data.copy()
-        p.grad = np.array([1.0])
-        opt.step()
-        assert (first[0] - p.data[0]) > 1.0  # second step larger
-
-    def test_sgd_weight_decay(self):
-        p = Parameter(np.array([1.0]))
-        p.grad = np.array([0.0])
-        SGD([p], lr=0.1, weight_decay=0.5).step()
-        assert p.data[0] == pytest.approx(0.95)
-
     def test_adam_converges_quadratic(self):
         p = Parameter(np.array([5.0]))
         opt = Adam([p], lr=0.1)
@@ -79,14 +57,6 @@ class TestSchedules:
         sched.step()
         assert opt.lr == pytest.approx(0.1)
 
-    def test_cosine_lr_endpoints(self):
-        p = Parameter(np.zeros(1))
-        opt = Adam([p], lr=1.0)
-        sched = CosineLR(opt, t_max=10, eta_min=0.0)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.0, abs=1e-12)
-
     def _two_phase_trace(self, epochs):
         """Per-epoch lr values as the trainer sees them (step at epoch end)."""
         opt = Adam([Parameter(np.zeros(1))], lr=2e-3)
@@ -121,15 +91,6 @@ class TestLosses:
     def test_mse_value(self):
         loss = MSELoss()(Tensor(np.array([1.0, 3.0])), np.array([0.0, 0.0]))
         assert loss.item() == pytest.approx(5.0)
-
-    def test_l1_value(self):
-        loss = L1Loss()(Tensor(np.array([1.0, -3.0])), np.array([0.0, 0.0]))
-        assert loss.item() == pytest.approx(2.0)
-
-    def test_bce_perfect_prediction_near_zero(self):
-        prob = Tensor(np.array([0.999999, 0.000001]))
-        loss = BCELoss()(prob, np.array([1.0, 0.0]))
-        assert loss.item() < 1e-4
 
     def test_gamma_bce_downweights_negatives(self):
         prob = Tensor(np.array([0.3]))
@@ -188,7 +149,7 @@ class TestEndToEndTraining:
         y = np.array([[0.0], [1.0], [1.0], [0.0]])
         model = MLP([2, 16, 1], rng)
         opt = Adam(model.parameters(), lr=5e-2)
-        loss_fn = BCELoss()
+        loss_fn = GammaWeightedBCE(gamma=1.0)
         for _ in range(400):
             opt.zero_grad()
             prob = F.sigmoid(model(Tensor(X)))
