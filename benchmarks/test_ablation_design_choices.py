@@ -13,7 +13,7 @@ DESIGN.md calls out three implementation choices worth quantifying:
 import numpy as np
 import pytest
 
-from repro.train import TrainConfig, evaluate, fit
+from repro.train import summarize_runs
 
 GAMMAS = (0.3, 0.5, 0.7, 1.0)
 WIDTHS = (16, 32, 64)
@@ -23,44 +23,35 @@ WIDTH_RESULTS: dict[int, float] = {}
 SAMPLING_RESULTS: dict[str, float] = {}
 
 
-def _mean_f1(dataset, seeds, epochs, gamma=0.7, hidden=32,
-             use_sampling=False):
-    tr = dataset.train_samples()
-    te = dataset.test_samples()
-    f1s = []
-    for seed in range(seeds):
-        cfg = TrainConfig(epochs=epochs, seed=seed, gamma=gamma,
-                          use_sampling=use_sampling)
-        model = fit("lhnn", tr, cfg, {"hidden": hidden})
-        f1s.append(evaluate(model, te, cfg)["f1"])
-    return float(np.mean(f1s))
-
-
 @pytest.mark.parametrize("gamma", GAMMAS)
-def test_gamma_sweep(gamma, dataset_uni, num_seeds, num_epochs, benchmark):
-    f1 = benchmark.pedantic(_mean_f1,
-                            args=(dataset_uni, num_seeds, num_epochs),
-                            kwargs={"gamma": gamma}, rounds=1, iterations=1)
+def test_gamma_sweep(gamma, train_cell, num_seeds, benchmark):
+    f1 = benchmark.pedantic(
+        lambda: summarize_runs([
+            train_cell("lhnn", seed, train={"gamma": gamma})[1]
+            for seed in range(num_seeds)]).f1_mean,
+        rounds=1, iterations=1)
     GAMMA_RESULTS[gamma] = f1
     assert np.isfinite(f1)
 
 
 @pytest.mark.parametrize("hidden", WIDTHS)
-def test_hidden_width_sweep(hidden, dataset_uni, num_seeds, num_epochs,
-                            benchmark):
-    f1 = benchmark.pedantic(_mean_f1,
-                            args=(dataset_uni, num_seeds, num_epochs),
-                            kwargs={"hidden": hidden}, rounds=1, iterations=1)
+def test_hidden_width_sweep(hidden, train_cell, num_seeds, benchmark):
+    f1 = benchmark.pedantic(
+        lambda: summarize_runs([
+            train_cell("lhnn", seed, knobs={"hidden": hidden})[1]
+            for seed in range(num_seeds)]).f1_mean,
+        rounds=1, iterations=1)
     WIDTH_RESULTS[hidden] = f1
     assert np.isfinite(f1)
 
 
 @pytest.mark.parametrize("mode", ["full-graph", "sampled {6,3,2}"])
-def test_sampling_vs_full(mode, dataset_uni, num_seeds, num_epochs,
-                          benchmark):
+def test_sampling_vs_full(mode, train_cell, num_seeds, benchmark):
+    sampling = {"use_sampling": mode != "full-graph"}
     f1 = benchmark.pedantic(
-        _mean_f1, args=(dataset_uni, num_seeds, num_epochs),
-        kwargs={"use_sampling": mode != "full-graph"},
+        lambda: summarize_runs([
+            train_cell("lhnn", seed, train=sampling)[1]
+            for seed in range(num_seeds)]).f1_mean,
         rounds=1, iterations=1)
     SAMPLING_RESULTS[mode] = f1
     assert np.isfinite(f1)

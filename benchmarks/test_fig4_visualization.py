@@ -4,7 +4,8 @@ The paper visualises uni-channel predictions on three test designs
 spanning congestion rates 1.13 % – 47.7 %, showing LHNN distinguishes
 low- from high-congestion circuits while CNNs predict an "averaged"
 congestion level (false positives on quiet designs, false negatives on hot
-ones).  This bench trains LHNN and U-Net once and renders ground truth
+ones).  This bench takes the seed-0 LHNN and U-Net cells (shared with
+Table 2 through the ``train_cell`` fixture) and renders ground truth
 vs prediction panels for the least-, median- and most-congested test
 designs as PGM images + ASCII panels (see ``benchmarks/conftest.py`` for
 where they are written).  Below the per-design rate table it reports
@@ -20,21 +21,16 @@ import numpy as np
 
 from repro.eval import comparison_panel, rate_tracking_error, write_pgm
 from repro.nn import Tensor, no_grad
-from repro.train import TrainConfig, fit, predict_probs
+from repro.train import predict_probs
 
 
-def _train_models(dataset, epochs):
-    tr = dataset.train_samples()
-    crop = dataset.graphs[0].nx // 2
-    lhnn = fit("lhnn", tr, TrainConfig(epochs=epochs, seed=0), {"channels": 1})
-    unet = fit("unet", tr, TrainConfig(epochs=epochs, seed=0, crop=crop))
-    return lhnn, unet, crop
-
-
-def test_fig4_visualization(dataset_uni, num_epochs, artifacts_dir,
+def test_fig4_visualization(dataset_uni, train_cell, artifacts_dir,
                             save_artifact, benchmark):
-    lhnn, unet, crop = benchmark.pedantic(
-        _train_models, args=(dataset_uni, num_epochs), rounds=1, iterations=1)
+    crop = dataset_uni.graphs[0].nx // 2
+    lhnn, unet = benchmark.pedantic(
+        lambda: (train_cell("lhnn", 0)[0],
+                 train_cell("unet", 0, train={"crop": crop})[0]),
+        rounds=1, iterations=1)
 
     te = dataset_uni.test_samples()
     rates = [s.cls_target.mean() for s in te]

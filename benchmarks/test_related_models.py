@@ -11,44 +11,26 @@ lattice-only model does not beat LHNN's F1.
 """
 
 import numpy as np
-import pytest
 
-from repro.train import TrainConfig, evaluate, fit
-from repro.train.metrics import summarize_runs
+from repro.train import summarize_runs
 
 RESULTS: dict[str, dict] = {}
 
 
-def test_gridsage_lattice(dataset_uni, num_seeds, num_epochs, benchmark):
-    tr = dataset_uni.train_samples()
-    te = dataset_uni.test_samples()
-
-    def run():
-        per_seed = []
-        for seed in range(num_seeds):
-            cfg = TrainConfig(epochs=num_epochs, seed=seed)
-            model = fit("gridsage", tr, cfg)
-            per_seed.append(evaluate(model, te, cfg))
-        return summarize_runs(per_seed)
-
-    summary = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_gridsage_lattice(train_cell, num_seeds, benchmark):
+    summary = benchmark.pedantic(
+        lambda: summarize_runs([train_cell("gridsage", seed)[1]
+                                for seed in range(num_seeds)]),
+        rounds=1, iterations=1)
     RESULTS["GridSAGE (lattice)"] = summary
     assert np.isfinite(summary.f1_mean)
 
 
-def test_lhnn_reference(dataset_uni, num_seeds, num_epochs, benchmark):
-    tr = dataset_uni.train_samples()
-    te = dataset_uni.test_samples()
-
-    def run():
-        per_seed = []
-        for seed in range(num_seeds):
-            cfg = TrainConfig(epochs=num_epochs, seed=seed)
-            model = fit("lhnn", tr, cfg, {"channels": 1})
-            per_seed.append(evaluate(model, te, cfg))
-        return summarize_runs(per_seed)
-
-    summary = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_lhnn_reference(train_cell, num_seeds, benchmark):
+    summary = benchmark.pedantic(
+        lambda: summarize_runs([train_cell("lhnn", seed)[1]
+                                for seed in range(num_seeds)]),
+        rounds=1, iterations=1)
     RESULTS["LHNN (both spaces)"] = summary
     assert np.isfinite(summary.f1_mean)
 

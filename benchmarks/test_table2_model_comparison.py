@@ -18,40 +18,28 @@ import numpy as np
 import pytest
 
 from repro.eval import format_table2
-from repro.train import TrainConfig, evaluate, fit, seeded_runs
+from repro.train import summarize_runs
 
 RESULTS: dict[str, dict] = {}
-
-
-def _crop_of(dataset) -> int:
-    return dataset.graphs[0].nx // 2
-
-
-def _run_model(model_name, dataset, channels, seeds, epochs):
-    tr = dataset.train_samples()
-    te = dataset.test_samples()
-    crop = _crop_of(dataset)
-
-    def one_seed(seed):
-        cfg = TrainConfig(epochs=epochs, seed=seed, crop=crop)
-        model = fit(model_name, tr, cfg, {"channels": channels})
-        return evaluate(model, te, cfg)
-
-    return seeded_runs(one_seed, list(range(seeds)))
 
 
 @pytest.mark.parametrize("model_name", ["4-layer MLP", "Pix2Pix", "U-net",
                                         "LHNN"])
 @pytest.mark.parametrize("task", ["uni", "duo"])
-def test_table2_cell(model_name, task, dataset_uni, dataset_duo,
-                     num_seeds, num_epochs, benchmark):
-    dataset = dataset_uni if task == "uni" else dataset_duo
+def test_table2_cell(model_name, task, suite_graphs, train_cell, num_seeds,
+                     benchmark):
     channels = 1 if task == "uni" else 2
     key = {"4-layer MLP": "mlp", "Pix2Pix": "pix2pix",
            "U-net": "unet", "LHNN": "lhnn"}[model_name]
+    # Only the CNNs read ``crop``; the graph families see whole designs.
+    train = ({"crop": suite_graphs[0].nx // 2}
+             if key in ("unet", "pix2pix") else {})
 
     summary = benchmark.pedantic(
-        _run_model, args=(key, dataset, channels, num_seeds, num_epochs),
+        lambda: summarize_runs([
+            train_cell(key, seed, train=train,
+                       knobs={"channels": channels})[1]
+            for seed in range(num_seeds)]),
         rounds=1, iterations=1)
 
     RESULTS.setdefault(model_name, {})[task] = summary

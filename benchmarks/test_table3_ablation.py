@@ -17,9 +17,8 @@ collapse — Table 2's MLP evidence).
 import numpy as np
 import pytest
 
-from repro.data import CongestionDataset
 from repro.eval import format_table3
-from repro.train import TrainConfig, evaluate, fit
+from repro.train import summarize_runs
 
 ABLATIONS = {
     "full": {},
@@ -27,7 +26,7 @@ ABLATIONS = {
     "no HyperMP edges": {"use_hypermp_edges": False},
     "no LatticeMP edges": {"use_latticemp_edges": False},
     "no Jointing": {"use_jointing": False},
-    "no G-cell features": {},    # handled via the dataset transform
+    "no G-cell features": {},    # trained with zero_features=True
     # Extension row (not in the paper): strip ALL topological relations.
     # At CPU-scale grids one FeatureGen hop already carries most G-net
     # information, so removing HyperMP alone under-states the value of
@@ -36,30 +35,16 @@ ABLATIONS = {
                              "use_hypermp_edges": False},
 }
 
-
-def _run_ablation(name, flags, suite_graphs, seeds, epochs):
-    zero_features = name == "no G-cell features"
-    dataset = CongestionDataset(suite_graphs, channels=1,
-                                zero_gcell_features=zero_features)
-    tr = dataset.train_samples()
-    te = dataset.test_samples()
-    f1s = []
-    for seed in range(seeds):
-        cfg = TrainConfig(epochs=epochs, seed=seed)
-        model = fit("lhnn", tr, cfg, {"channels": 1, **flags})
-        f1s.append(evaluate(model, te, cfg)["f1"])
-    return float(np.mean(f1s))
-
-
 RESULTS: dict[str, float] = {}
 
 
 @pytest.mark.parametrize("name", list(ABLATIONS))
-def test_table3_ablation_cell(name, suite_graphs, num_seeds, num_epochs,
-                              benchmark):
+def test_table3_ablation_cell(name, train_cell, num_seeds, benchmark):
     f1 = benchmark.pedantic(
-        _run_ablation,
-        args=(name, ABLATIONS[name], suite_graphs, num_seeds, num_epochs),
+        lambda: summarize_runs([
+            train_cell("lhnn", seed, knobs=ABLATIONS[name],
+                       zero_features=name == "no G-cell features")[1]
+            for seed in range(num_seeds)]).f1_mean,
         rounds=1, iterations=1)
     RESULTS[name] = f1
     assert np.isfinite(f1)

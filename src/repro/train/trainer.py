@@ -69,9 +69,9 @@ from ..nn.losses import GammaWeightedBCE, GANLoss, JointLoss
 from ..nn.optim import Adam, clip_grad_norm, two_phase_lr
 from ..nn.tensor import Tensor
 from .config import TrainConfig
-from .metrics import MetricSummary, evaluate_binary, summarize_runs
+from .metrics import evaluate_binary
 
-__all__ = ["fit", "evaluate", "predict_probs", "seeded_runs"]
+__all__ = ["fit", "evaluate", "predict_probs"]
 
 
 def predict_probs(model, sample: GraphSample,
@@ -389,11 +389,6 @@ def evaluate(model, samples: list[GraphSample],
                 accs.append(m["acc"])
     model.train()
     return {"f1": float(np.mean(f1s)), "acc": float(np.mean(accs))}
-
-
-def seeded_runs(run_fn, seeds: list[int]) -> MetricSummary:
-    """Repeat ``run_fn(seed) -> {'f1', 'acc'}`` and summarise mean ± std."""
-    return summarize_runs([run_fn(seed) for seed in seeds])
 
 
 # Imported last: repro.serve's engine imports predict_probs from this

@@ -1,11 +1,10 @@
-"""Tests for sparse message-passing primitives and the functional API."""
+"""Tests for the sparse message-passing primitives."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.nn import SparseMatrix, Tensor, row_normalize, spmm
-from repro.nn import functional as F
 
 
 @pytest.fixture
@@ -91,11 +90,3 @@ class TestSpmm:
         a = sp.eye(3).tocsr()
         x = Tensor(rng.normal(size=(3, 2)))
         assert np.allclose(spmm(a, x).data, x.data)
-
-
-class TestFunctional:
-    def test_where_helper(self):
-        out = F.where(np.array([True, False]),
-                      Tensor(np.array([1.0, 1.0])),
-                      Tensor(np.array([2.0, 2.0])))
-        assert np.allclose(out.data, [1.0, 2.0])

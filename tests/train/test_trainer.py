@@ -9,7 +9,7 @@ from repro.data import CongestionDataset
 from repro.models.unet import UNet
 from repro.nn import DtypeConfig, Tensor, no_grad
 from repro.serve.registry import family_of, get_family, output_channels
-from repro.train import TrainConfig, evaluate, fit, predict_probs, seeded_runs
+from repro.train import TrainConfig, evaluate, fit, predict_probs
 
 
 @pytest.fixture(scope="module")
@@ -162,15 +162,6 @@ class TestBaselineTraining:
                     {"base_width": 4})
         metrics = evaluate(model, test_samples, PER_DESIGN)
         assert np.isfinite(metrics["f1"])
-
-
-class TestSeededRuns:
-    def test_aggregation(self):
-        def fake_run(seed):
-            return {"f1": 40.0 + seed, "acc": 90.0}
-        summary = seeded_runs(fake_run, [0, 2])
-        assert summary.f1_mean == pytest.approx(41.0)
-        assert summary.f1_std == pytest.approx(1.0)
 
 
 class TestPredictTiled:
