@@ -5,6 +5,17 @@ row grid positions without overlaps and away from macro blockages.  This
 greedy legaliser processes cells in x-order and packs each into the
 feasible row segment closest to its global position — the classic
 "Tetris" heuristic, adequate for label-generation purposes.
+
+:func:`legalize` scores every candidate position of a cell at once: the
+rows' free segments, each row followed by its overfill fallback slot,
+are flattened once into per-slot arrays in the loop's row → segment →
+fallback order, with one cursor array shared by a row's last segment and
+its fallback.  Per cell, the slot costs are the loop's float expressions
+evaluated elementwise (infeasible segments cost ``inf``), and
+``np.argmin`` takes the first minimum, as the loop's strict ``<`` does.
+So every cell lands on the same row and the same bits as in the per-slot
+loop, kept as :func:`_legalize_reference` and pinned by
+``tests/placement/test_legalize_exact.py``.
 """
 
 from __future__ import annotations
@@ -56,6 +67,65 @@ def legalize(design: Design) -> Design:
     fully legal position exists.  The overflow penalty spreads spills
     across rows instead of marching one row out.
     """
+    xl, yl, xh, yh = design.die
+    rh = design.row_height
+    num_rows = max(1, int(round((yh - yl) / rh)))
+    segments = row_segments(design)
+    # One slot per free segment, then the row's fallback slot, in loop
+    # order; a fallback slot reads its row's last segment's cursor.
+    slot_row, slot_seg, slot_end, fallback = [], [], [], []
+    starts = []
+    for r, segs in enumerate(segments):
+        for s0, s1 in segs:
+            slot_row.append(r)
+            slot_seg.append(len(starts))
+            slot_end.append(s1)
+            fallback.append(False)
+            starts.append(s0)
+        if segs:
+            slot_row.append(r)
+            slot_seg.append(len(starts) - 1)
+            slot_end.append(segs[-1][1])
+            fallback.append(True)
+    slot_seg = np.array(slot_seg, dtype=np.int64)
+    slot_end = np.array(slot_end, dtype=float)
+    slot_y = yl + np.array(slot_row, dtype=np.int64) * rh
+    fallback = np.array(fallback, dtype=bool)
+    cursors = np.array(starts, dtype=float)
+
+    movable = np.flatnonzero(~design.cell_fixed)
+    order = movable[np.argsort(design.cell_x[movable])]
+    for cid in order:
+        w = design.cell_w[cid]
+        gx = design.cell_x[cid]
+        gy = design.cell_y[cid]
+        if not len(slot_seg):
+            # Every row is fully blocked by fixed cells: stack at the die
+            # edge of the nearest row (nothing legal exists).
+            r = int(np.clip(round((gy - yl) / rh), 0, num_rows - 1))
+            design.cell_y[cid] = yl + r * rh
+            design.cell_x[cid] = min(max(gx, xl), xh - w)
+            continue
+        cur = cursors[slot_seg]
+        x = np.where(fallback, cur,
+                     np.maximum(cur, np.minimum(gx, slot_end - w)))
+        cost = np.abs(x - gx) + np.abs(slot_y - gy)
+        # Overfill fallback: append at the row's high-water mark (the
+        # last segment's cursor).  A spill placed there can never reach
+        # a seated movable cell, unlike stacking at the die edge, and the
+        # penalty keeps any fitting segment strictly preferred.
+        cost += np.where(fallback, 1e6 * np.maximum(x + w - slot_end, 0.0),
+                         0.0)
+        cost[~fallback & (x + w > slot_end + 1e-9)] = np.inf
+        k = int(np.argmin(cost))
+        design.cell_x[cid] = x[k]
+        design.cell_y[cid] = yl + slot_row[k] * rh
+        cursors[slot_seg[k]] = x[k] + w
+    return design
+
+
+def _legalize_reference(design: Design) -> Design:
+    """Per-slot loop reference of :func:`legalize` (same bits)."""
     xl, yl, xh, yh = design.die
     num_rows = max(1, int(round((yh - yl) / design.row_height)))
     segments = row_segments(design)

@@ -12,6 +12,17 @@ system ``L x = b`` solved per axis with conjugate gradients.
 
 Optional anchor terms (``anchor_weight · ‖x - x_anchor‖²``) implement the
 SimPL-style pull toward spread positions used by the placement driver.
+
+The system's structure does not change between solves, so each placer
+builds one plan (:meth:`~QuadraticPlacer._build_plan`): the Laplacian
+diagonal, summed by ``np.bincount`` over the edges' diagonal
+contributions in edge-loop order; the off-diagonal triplets; and the
+(variable, weight, fixed cell) terms of ``b`` from every edge with one
+fixed end.  Each :meth:`~QuadraticPlacer._assemble` call then needs one
+``bincount`` for ``b``.  ``bincount`` adds in input order from 0.0,
+exactly as the per-edge ``+=`` loop did, so ``(L, b)`` are bit-identical
+to :meth:`~QuadraticPlacer._assemble_reference`, the kept loop
+(``tests/placement/test_quadratic_exact.py``).
 """
 
 from __future__ import annotations
@@ -25,6 +36,13 @@ from ..circuit.design import Design
 __all__ = ["QuadraticPlacer", "solve_quadratic"]
 
 
+def _ordered_sum(index, weights, n: int) -> np.ndarray:
+    """``out[index[k]] += weights[k]`` for k in order, from zeros (float64)."""
+    return np.bincount(np.asarray(index, dtype=np.int64),
+                       weights=np.asarray(weights, dtype=float),
+                       minlength=n).astype(float, copy=False)
+
+
 class QuadraticPlacer:
     """Builds and solves the quadratic placement system for one design."""
 
@@ -36,6 +54,7 @@ class QuadraticPlacer:
         self._var_of_cell = -np.ones(design.num_cells, dtype=np.int64)
         self._var_of_cell[self._movable] = np.arange(len(self._movable))
         self._build_edges()
+        self._build_plan()
 
     # ------------------------------------------------------------------
     def _build_edges(self) -> None:
@@ -76,10 +95,79 @@ class QuadraticPlacer:
         self._num_star = star_count
 
     # ------------------------------------------------------------------
+    def _build_plan(self) -> None:
+        """Axis-independent structure of the system, built once.
+
+        Walks the edges in the order :meth:`_assemble_reference` does and
+        records where each edge's weight goes.
+        """
+        n = len(self._movable) + self._num_star
+        var_of_cell = self._var_of_cell.tolist()
+        diag_idx: list[int] = []
+        diag_w: list[float] = []
+        off_r: list[int] = []
+        off_c: list[int] = []
+        off_v: list[float] = []
+        b_idx: list[int] = []
+        b_w: list[float] = []
+        b_cell: list[int] = []
+        for r, c, w in zip(self._edge_rows.tolist(), self._edge_cols.tolist(),
+                           self._edge_w.tolist()):
+            vi = var_of_cell[r]  # rows are always cells
+            vj = -c - 1 if c < 0 else var_of_cell[c]
+            i_fixed = vi < 0
+            j_fixed = c >= 0 and vj < 0
+            if i_fixed and j_fixed:
+                continue
+            if not i_fixed and not j_fixed:
+                diag_idx += (vi, vj)
+                diag_w += (w, w)
+                off_r.append(vi)
+                off_c.append(vj)
+                off_v.append(-w)
+            elif i_fixed:
+                diag_idx.append(vj)
+                diag_w.append(w)
+                b_idx.append(vj)
+                b_w.append(w)
+                b_cell.append(r)
+            else:
+                diag_idx.append(vi)
+                diag_w.append(w)
+                b_idx.append(vi)
+                b_w.append(w)
+                b_cell.append(c)
+        self._diag = _ordered_sum(diag_idx, diag_w, n)
+        self._off_v = np.concatenate([off_v, off_v])
+        self._lap_rows = np.concatenate([np.arange(n), off_r, off_c])
+        self._lap_cols = np.concatenate([np.arange(n), off_c, off_r])
+        self._b_idx = np.array(b_idx, dtype=np.int64)
+        self._b_w = np.array(b_w, dtype=float)
+        self._b_cell = np.array(b_cell, dtype=np.int64)
+
     def _assemble(self, axis_pos: np.ndarray,
                   anchors: np.ndarray | None,
                   anchor_weight: float):
         """Assemble the SPD system (L, b) for one axis."""
+        num_mov = len(self._movable)
+        n = num_mov + self._num_star
+        diag = self._diag.copy()
+        b = _ordered_sum(self._b_idx, self._b_w * axis_pos[self._b_cell], n)
+        if anchors is not None and anchor_weight > 0:
+            diag[:num_mov] += anchor_weight
+            b[:num_mov] += anchor_weight * anchors
+
+        # Tiny regularisation keeps disconnected components well-posed.
+        diag += 1e-9
+        lap = sp.coo_matrix(
+            (np.concatenate([diag, self._off_v]),
+             (self._lap_rows, self._lap_cols)), shape=(n, n)).tocsr()
+        return lap, b
+
+    def _assemble_reference(self, axis_pos: np.ndarray,
+                            anchors: np.ndarray | None,
+                            anchor_weight: float):
+        """Per-edge loop reference of :meth:`_assemble` (same bits)."""
         design = self.design
         num_mov = len(self._movable)
         n = num_mov + self._num_star

@@ -6,7 +6,7 @@ rip-up-and-reroute driver, and extraction of the paper's demand /
 congestion label maps.
 """
 
-from .grid import RoutingGrid
+from .grid import RoutingGrid, flatten, path_cells, path_edges, unflatten
 from .steiner import decompose_net, mst_edges, net_terminals
 from .pattern import (l_paths, z_paths, path_cost, best_pattern_path,
                       straight_path)
@@ -15,7 +15,7 @@ from .router import RouterConfig, RoutingResult, GlobalRouter
 from .congestion import CongestionMaps, extract_maps, congestion_rate
 
 __all__ = [
-    "RoutingGrid",
+    "RoutingGrid", "path_edges", "path_cells", "flatten", "unflatten",
     "decompose_net", "mst_edges", "net_terminals",
     "l_paths", "z_paths", "path_cost", "best_pattern_path", "straight_path",
     "astar_route",

@@ -13,16 +13,25 @@ labels.  The flow is the standard academic recipe:
 
 The result is per-edge usage on the routing grid, from which
 :mod:`repro.routing.congestion` extracts demand and congestion maps.
+
+All bookkeeping runs on flat edge ids (:mod:`repro.routing.grid`): paths
+are edge-id lists, and :attr:`GlobalRouter.cost` is one list of per-edge
+costs that pattern routing and A* read directly.  :meth:`~GlobalRouter.add_path`
+updates the usage of the edges a path touches and recomputes only their
+costs, with the scalar form of :meth:`RoutingGrid.edge_costs`,
+``(1.0 + hist) + pen * max(use + 1.0 - cap, 0.0)``.  Python float ops give
+numpy's elementwise bits, so the list always equals ``edge_costs()``
+(``tests/routing/test_flat_costs.py``).  Once per negotiation round the
+overflow scan, the history bump and the full cost refresh go through
+the grid's numpy arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..circuit.design import Design
-from .grid import RoutingGrid
+from .grid import RoutingGrid, flatten
 from .maze import astar_route
 from .pattern import best_pattern_path
 from .steiner import decompose_net, net_terminals
@@ -76,9 +85,32 @@ class GlobalRouter:
             capacity_h=self.config.capacity_h * factor,
             capacity_v=self.config.capacity_v * factor,
         )
-        # segment id → (endpoints, current path)
+        # segment id → (endpoints, current path as edge ids)
         self._segments: list[tuple[tuple[int, int], tuple[int, int]]] = []
-        self._paths: list[list[tuple[int, int]]] = []
+        self._paths: list[list[int]] = []
+        self.cost = self._edge_costs()
+
+    def _edge_costs(self) -> list[float]:
+        """Every edge's cost, from :meth:`RoutingGrid.edge_costs`."""
+        return flatten(*self.grid.edge_costs(self.config.overflow_penalty))
+
+    def add_path(self, path: list[int], sign: float = 1.0) -> None:
+        """Add a path's usage (``sign=-1``: rip it up) and re-cost its edges."""
+        use, cap, hist, cost = (self.grid.usage, self.grid.capacity,
+                                self.grid.history, self.cost)
+        pen = self.config.overflow_penalty
+        for e in path:
+            u = use[e] + sign
+            use[e] = u
+            over = u + 1.0 - cap[e]
+            # ``0.0 if over < 0.0 else over`` is np.maximum(over, 0.0),
+            # -0.0 and NaN included.
+            cost[e] = (1.0 + hist[e]) + pen * (0.0 if over < 0.0 else over)
+
+    def bump_history(self) -> None:
+        """Raise history on overflowed edges and refresh every cost."""
+        self.grid.bump_history(self.config.history_increment)
+        self.cost = self._edge_costs()
 
     # ------------------------------------------------------------------
     def decompose(self) -> None:
@@ -90,48 +122,37 @@ class GlobalRouter:
 
     def initial_route(self) -> None:
         """Pattern-route every segment with congestion-aware choice."""
+        nx, ny, use_z = self.grid.nx, self.grid.ny, self.config.use_z_patterns
         self._paths = []
         for a, b in self._segments:
-            h_cost, v_cost = self.grid.edge_costs(self.config.overflow_penalty)
-            path = best_pattern_path(a, b, h_cost, v_cost,
-                                     use_z=self.config.use_z_patterns)
-            self.grid.add_path(path)
+            path = best_pattern_path(a, b, self.cost, nx, ny, use_z=use_z)
+            self.add_path(path)
             self._paths.append(path)
 
     # ------------------------------------------------------------------
     def _overflowed_segment_ids(self) -> list[int]:
         """Segments whose current path crosses an overflowed edge."""
-        oh, ov = self.grid.edge_overflow()
-        bad: list[int] = []
-        for sid, path in enumerate(self._paths):
-            for (ax, ay), (bx, by) in zip(path, path[1:]):
-                if ay == by:
-                    if oh[min(ax, bx), ay] > 0:
-                        bad.append(sid)
-                        break
-                else:
-                    if ov[ax, min(ay, by)] > 0:
-                        bad.append(sid)
-                        break
-        return bad
+        over = flatten(*(o > 0 for o in self.grid.edge_overflow()))
+        return [sid for sid, path in enumerate(self._paths)
+                if any(map(over.__getitem__, path))]
 
     def rip_up_and_reroute(self) -> int:
         """One negotiation round; returns number of rerouted segments."""
         bad = self._overflowed_segment_ids()
         if not bad:
             return 0
-        self.grid.bump_history(self.config.history_increment)
+        self.bump_history()
+        nx, ny = self.grid.nx, self.grid.ny
+        margin = self.config.maze_bbox_margin
         # Reroute longest segments first: they have the most freedom.
         bad.sort(key=lambda sid: -len(self._paths[sid]))
         for sid in bad:
-            self.grid.add_path(self._paths[sid], sign=-1.0)
+            self.add_path(self._paths[sid], sign=-1.0)
             a, b = self._segments[sid]
-            h_cost, v_cost = self.grid.edge_costs(self.config.overflow_penalty)
-            path = astar_route(a, b, h_cost, v_cost,
-                               bbox_margin=self.config.maze_bbox_margin)
+            path = astar_route(a, b, self.cost, nx, ny, bbox_margin=margin)
             if path is None:  # pragma: no cover - connected grid
                 path = self._paths[sid]
-            self.grid.add_path(path)
+            self.add_path(path)
             self._paths[sid] = path
         return len(bad)
 

@@ -98,10 +98,17 @@ class MetricSummary:
 
 
 def summarize_runs(per_seed: list[dict[str, float]]) -> MetricSummary:
-    """Aggregate per-seed {'f1', 'acc'} dicts into a :class:`MetricSummary`."""
+    """Aggregate per-seed {'f1', 'acc'} dicts into a :class:`MetricSummary`.
+
+    The std is the sample std (``ddof=1``) of the seeds, 0.0 for one run.
+    """
     f1 = np.array([r["f1"] for r in per_seed])
     acc = np.array([r["acc"] for r in per_seed])
+
+    def std(values: np.ndarray) -> float:
+        return float(values.std(ddof=1)) if len(values) > 1 else 0.0
+
     return MetricSummary(
-        f1_mean=float(f1.mean()), f1_std=float(f1.std()),
-        acc_mean=float(acc.mean()), acc_std=float(acc.std()),
+        f1_mean=float(f1.mean()), f1_std=std(f1),
+        acc_mean=float(acc.mean()), acc_std=std(acc),
     )

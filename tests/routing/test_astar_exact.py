@@ -1,15 +1,16 @@
-"""Path identity of the flat-array A* against its dict-and-set reference.
+"""Path identity of the flat-state A* against its dict-and-set reference.
 
 Rip-up-and-reroute labels depend on *which* cheapest path A* returns, so
 the kernel must break every tie exactly as the reference does.  Small
 integer edge costs make equal-cost paths (and equal heap keys) common,
 which is where a different node order or float summation would show.
+Both read the same flat edge-cost list and return edge ids.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.routing import astar_route
+from repro.routing import astar_route, flatten, path_cells, path_edges
 from repro.routing.maze import _astar_route_reference
 
 MARGINS = st.sampled_from([0, 2, 6, None])
@@ -28,9 +29,12 @@ def queries(draw, max_side=10):
 
 
 def _same(a, b, h, v, margin):
-    got = astar_route(a, b, h, v, bbox_margin=margin)
-    assert got == _astar_route_reference(a, b, h, v, bbox_margin=margin)
-    return got
+    nx, ny = v.shape[0], h.shape[1]
+    cost = flatten(h, v)
+    got = astar_route(a, b, cost, nx, ny, bbox_margin=margin)
+    assert got == _astar_route_reference(a, b, cost, nx, ny,
+                                         bbox_margin=margin)
+    return path_cells(a, got, nx, ny)
 
 
 @settings(max_examples=300, deadline=None)
@@ -70,3 +74,15 @@ def test_single_row_and_single_column_windows():
     col_v = rng.integers(1, 3, size=(1, 8)).astype(float)
     assert _same((0, 8), (0, 2), np.ones((0, 9)), col_v, 2) == [
         (0, y) for y in range(8, 1, -1)]
+
+
+def test_edge_ids_match_the_cell_walk():
+    h = np.ones((5, 4))
+    v = np.ones((6, 3))
+    cells = [(0, 0), (1, 0), (1, 1), (1, 2), (2, 2)]
+    edges = path_edges(cells, 6, 4)
+    # H edge (x, y) is x*ny + y; V edge (x, y) is nx*ny + x*ny + y.
+    assert edges == [0, 24 + 4, 24 + 5, 1 * 4 + 2]
+    assert path_cells((0, 0), edges, 6, 4) == cells
+    assert path_cells((2, 2), edges[::-1], 6, 4) == cells[::-1]
+    assert _same((0, 0), (2, 2), h, v, None)[-1] == (2, 2)

@@ -7,8 +7,9 @@ from repro.circuit import DesignSpec, generate_design
 from repro.placement import place
 from repro.routing import (GlobalRouter, RouterConfig, RoutingGrid,
                            astar_route, best_pattern_path, congestion_rate,
-                           decompose_net, extract_maps, l_paths, mst_edges,
-                           path_cost, straight_path, z_paths)
+                           decompose_net, extract_maps, flatten, l_paths,
+                           mst_edges, path_cells, path_cost, path_edges,
+                           straight_path, z_paths)
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +24,17 @@ def placed():
 @pytest.fixture
 def grid(placed):
     return RoutingGrid(placed, nx=16, ny=16, capacity_h=5.0, capacity_v=5.0)
+
+
+@pytest.fixture
+def router(placed):
+    return GlobalRouter(placed, RouterConfig(
+        nx=16, ny=16, capacity_h=5.0, capacity_v=5.0,
+        apply_capacity_factor=False))
+
+
+def _edges(*cells):
+    return path_edges(list(cells), 16, 16)
 
 
 class TestGrid:
@@ -40,44 +52,45 @@ class TestGrid:
         for i in range(3):
             assert (gx[i], gy[i]) == grid.gcell_of(xs[i], ys[i])
 
-    def test_add_remove_path_roundtrip(self, grid):
-        path = [(0, 0), (1, 0), (1, 1)]
-        grid.add_path(path)
+    def test_add_remove_path_roundtrip(self, router):
+        grid = router.grid
+        path = _edges((0, 0), (1, 0), (1, 1))
+        router.add_path(path)
         assert grid.h_usage[0, 0] == 1.0
         assert grid.v_usage[1, 0] == 1.0
-        grid.add_path(path, sign=-1.0)
+        router.add_path(path, sign=-1.0)
         assert grid.h_usage.sum() == 0.0
         assert grid.v_usage.sum() == 0.0
 
-    def test_add_path_rejects_diagonal(self, grid):
+    def test_add_path_rejects_diagonal(self):
         with pytest.raises(ValueError):
-            grid.add_path([(0, 0), (1, 1)])
+            _edges((0, 0), (1, 1))
 
-    def test_overflow_accounting(self, grid):
+    def test_overflow_accounting(self, router):
         for _ in range(7):
-            grid.add_path([(0, 0), (1, 0)])
-        oh, _ = grid.edge_overflow()
+            router.add_path(_edges((0, 0), (1, 0)))
+        oh, _ = router.grid.edge_overflow()
         assert oh[0, 0] == pytest.approx(2.0)
-        assert grid.total_overflow() == pytest.approx(2.0)
+        assert router.grid.total_overflow() == pytest.approx(2.0)
 
-    def test_history_bumps_only_overflowed(self, grid):
+    def test_history_bumps_only_overflowed(self, router):
         for _ in range(7):
-            grid.add_path([(0, 0), (1, 0)])
-        grid.bump_history(0.5)
-        assert grid.h_history[0, 0] == 0.5
-        assert grid.h_history[1, 0] == 0.0
+            router.add_path(_edges((0, 0), (1, 0)))
+        router.bump_history()
+        assert router.grid.h_history[0, 0] == 0.5
+        assert router.grid.h_history[1, 0] == 0.0
+        assert router.cost[0] == 1.5 + 4.0 * 3.0
 
     def test_macro_blockage_derates_capacity(self, placed):
         g = RoutingGrid(placed, nx=16, ny=16, capacity_h=5.0, capacity_v=5.0)
         # At least one edge must be derated (design has macros).
         assert g.h_capacity.min() < 5.0 or g.v_capacity.min() < 5.0
 
-    def test_reset(self, grid):
-        grid.add_path([(0, 0), (1, 0)])
-        grid.bump_history()
-        grid.reset_usage()
-        assert grid.h_usage.sum() == 0
-        assert grid.h_history.sum() == 0
+    def test_edge_arrays_write_back(self, grid):
+        grid.v_usage = np.full((16, 15), 2.0)
+        assert grid.v_usage.sum() == 2.0 * 16 * 15
+        assert grid.h_usage.sum() == 0.0
+        assert sum(grid.usage) == 2.0 * 16 * 15
 
 
 class TestSteiner:
@@ -105,53 +118,63 @@ class TestSteiner:
 
 class TestPattern:
     def test_straight_path_horizontal(self):
-        p = straight_path((1, 2), (4, 2))
-        assert p == [(1, 2), (2, 2), (3, 2), (4, 2)]
+        p = straight_path((1, 2), (4, 2), 16, 16)
+        assert p == _edges((1, 2), (2, 2), (3, 2), (4, 2))
 
     def test_straight_path_reverse(self):
-        p = straight_path((4, 2), (1, 2))
-        assert p[0] == (4, 2) and p[-1] == (1, 2)
+        p = straight_path((4, 2), (1, 2), 16, 16)
+        assert path_cells((4, 2), p, 16, 16)[-1] == (1, 2)
+        p = straight_path((3, 5), (3, 0), 16, 16)
+        assert path_cells((3, 5), p, 16, 16) == [(3, y) for y in range(5, -1, -1)]
 
     def test_straight_rejects_diagonal(self):
         with pytest.raises(ValueError):
-            straight_path((0, 0), (1, 1))
+            straight_path((0, 0), (1, 1), 16, 16)
 
     def test_l_paths_two_options(self):
-        paths = l_paths((0, 0), (3, 2))
+        paths = l_paths((0, 0), (3, 2), 16, 16)
         assert len(paths) == 2
         for p in paths:
-            assert p[0] == (0, 0) and p[-1] == (3, 2)
-            assert len(p) == 6  # L1 distance 5 → 6 cells
+            cells = path_cells((0, 0), p, 16, 16)
+            assert cells[-1] == (3, 2)
+            assert len(cells) == 6  # L1 distance 5 → 6 cells
 
     def test_l_paths_aligned_single(self):
-        assert len(l_paths((0, 0), (0, 4))) == 1
+        assert len(l_paths((0, 0), (0, 4), 16, 16)) == 1
 
     def test_z_paths_have_jog(self):
-        paths = z_paths((0, 0), (4, 4))
+        paths = z_paths((0, 0), (4, 4), 16, 16)
         assert paths
         for p in paths:
-            assert p[0] == (0, 0) and p[-1] == (4, 4)
+            assert path_cells((0, 0), p, 16, 16)[-1] == (4, 4)
 
     def test_path_cost_uses_direction_arrays(self):
         h = np.ones((3, 4))
         v = np.full((4, 3), 10.0)
-        p = [(0, 0), (1, 0), (1, 1)]
-        assert path_cost(p, h, v) == pytest.approx(11.0)
+        p = path_edges([(0, 0), (1, 0), (1, 1)], 4, 4)
+        assert path_cost(p, flatten(h, v)) == pytest.approx(11.0)
 
     def test_best_pattern_avoids_congested(self):
         h = np.ones((4, 5))
         v = np.ones((5, 4))
         h[:, 0] = 100.0  # bottom row expensive
-        best = best_pattern_path((0, 0), (3, 3), h, v)
-        cost = path_cost(best, h, v)
-        assert cost < 100.0  # went up first
+        cost = flatten(h, v)
+        best = best_pattern_path((0, 0), (3, 3), cost, 5, 5)
+        assert path_cost(best, cost) < 100.0  # went up first
+
+
+def _astar(a, b, h, v, **kwargs):
+    """A* on (H, V) cost arrays, as a G-cell walk."""
+    nx, ny = v.shape[0], h.shape[1]
+    return path_cells(a, astar_route(a, b, flatten(h, v), nx, ny, **kwargs),
+                      nx, ny)
 
 
 class TestAStar:
     def test_shortest_path_uniform_cost(self):
         h = np.ones((7, 8))
         v = np.ones((8, 7))
-        p = astar_route((0, 0), (5, 5), h, v)
+        p = _astar((0, 0), (5, 5), h, v)
         assert p[0] == (0, 0) and p[-1] == (5, 5)
         assert len(p) == 11  # L1 distance 10
 
@@ -159,19 +182,21 @@ class TestAStar:
         h = np.ones((7, 8))
         v = np.ones((8, 7))
         v[0:7, 3] = 1000.0  # wall on vertical edges at y=3→4, x<7
-        p = astar_route((0, 0), (0, 7), h, v, bbox_margin=None)
+        p = _astar((0, 0), (0, 7), h, v, bbox_margin=None)
         # must pass through x=7 to cross the wall cheaply
         assert any(x == 7 for x, _ in p)
 
     def test_same_start_goal(self):
         h = np.ones((3, 4))
         v = np.ones((4, 3))
-        assert astar_route((1, 1), (1, 1), h, v) == [(1, 1)]
+        assert astar_route((1, 1), (1, 1), flatten(h, v), 4, 4) == []
+        assert _astar((1, 1), (1, 1), h, v) == [(1, 1)]
 
     def test_path_cells_adjacent(self):
         h = np.ones((7, 8)) + np.random.default_rng(0).random((7, 8))
         v = np.ones((8, 7)) + np.random.default_rng(1).random((8, 7))
-        p = astar_route((0, 0), (6, 6), h, v)
+        p = _astar((0, 0), (6, 6), h, v)
+        assert p[-1] == (6, 6)
         for (ax, ay), (bx, by) in zip(p, p[1:]):
             assert abs(ax - bx) + abs(ay - by) == 1
 

@@ -3,7 +3,8 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.routing import astar_route, decompose_net, l_paths, mst_edges
+from repro.routing import (astar_route, decompose_net, flatten, l_paths,
+                           mst_edges, path_cells)
 from repro.routing.pattern import path_cost
 
 COORD = st.tuples(st.integers(0, 11), st.integers(0, 11))
@@ -19,7 +20,8 @@ def is_valid_path(path):
 @settings(max_examples=60, deadline=None)
 @given(a=COORD, b=COORD)
 def test_l_paths_connect_and_have_l1_length(a, b):
-    for path in l_paths(a, b):
+    for edges in l_paths(a, b, 12, 12):
+        path = path_cells(a, edges, 12, 12)
         assert path[0] == a and path[-1] == b
         assert is_valid_path(path)
         assert len(path) == abs(a[0] - b[0]) + abs(a[1] - b[1]) + 1
@@ -28,9 +30,9 @@ def test_l_paths_connect_and_have_l1_length(a, b):
 @settings(max_examples=40, deadline=None)
 @given(a=COORD, b=COORD)
 def test_astar_optimal_under_uniform_cost(a, b):
-    h = np.ones((11, 12))
-    v = np.ones((12, 11))
-    path = astar_route(a, b, h, v, bbox_margin=None)
+    cost = flatten(np.ones((11, 12)), np.ones((12, 11)))
+    path = path_cells(a, astar_route(a, b, cost, 12, 12, bbox_margin=None),
+                      12, 12)
     assert path[0] == a and path[-1] == b
     assert is_valid_path(path)
     # Uniform costs → A* returns an L1-shortest path.
@@ -41,12 +43,11 @@ def test_astar_optimal_under_uniform_cost(a, b):
 @given(a=COORD, b=COORD, data=st.data())
 def test_astar_never_worse_than_patterns(a, b, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
-    h = 1.0 + 3.0 * rng.random((11, 12))
-    v = 1.0 + 3.0 * rng.random((12, 11))
-    maze = astar_route(a, b, h, v, bbox_margin=None)
-    for pattern in l_paths(a, b):
-        assert (path_cost(maze, h, v)
-                <= path_cost(pattern, h, v) + 1e-9)
+    cost = flatten(1.0 + 3.0 * rng.random((11, 12)),
+                   1.0 + 3.0 * rng.random((12, 11)))
+    maze = astar_route(a, b, cost, 12, 12, bbox_margin=None)
+    for pattern in l_paths(a, b, 12, 12):
+        assert path_cost(maze, cost) <= path_cost(pattern, cost) + 1e-9
 
 
 @settings(max_examples=40, deadline=None)

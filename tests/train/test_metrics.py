@@ -78,8 +78,11 @@ class TestSummaries:
         runs = [{"f1": 40.0, "acc": 90.0}, {"f1": 42.0, "acc": 92.0}]
         s = summarize_runs(runs)
         assert s.f1_mean == pytest.approx(41.0)
-        assert s.f1_std == pytest.approx(1.0)
+        assert s.f1_std == pytest.approx(np.sqrt(2.0))  # sample std
         assert s.acc_mean == pytest.approx(91.0)
+        assert s.acc_std == pytest.approx(np.sqrt(2.0))
+        one = summarize_runs(runs[:1])
+        assert (one.f1_mean, one.f1_std, one.acc_std) == (40.0, 0.0, 0.0)
 
     def test_format(self):
         s = MetricSummary(40.894, 1.821, 95.46, 0.11)
