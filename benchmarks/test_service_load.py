@@ -54,8 +54,7 @@ BENCH_REPORT = ("BENCH_serve.json",
 
 
 def small_pipeline():
-    return PipelineConfig(grid_nx=8, grid_ny=8,
-                          placement=PlacementConfig(outer_iterations=2),
+    return PipelineConfig(placement=PlacementConfig(outer_iterations=2),
                           router=RouterConfig(nx=8, ny=8, capacity_h=10.0,
                                               capacity_v=10.0,
                                               rrr_iterations=2))

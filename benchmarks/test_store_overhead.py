@@ -100,7 +100,7 @@ class TestWarmLoadOverhead:
     def test_stage_product_loads_within_budget(self, cache, bench_report):
         """The real thing: a prepared LH-graph stage product."""
         config = PipelineConfig(
-            scale=0.15, grid_nx=8, grid_ny=8, use_cache=True,
+            scale=0.15, use_cache=True,
             placement=PlacementConfig(outer_iterations=1),
             router=RouterConfig(nx=8, ny=8, rrr_iterations=1))
         design = superblue_suite(scale=0.15)[0]

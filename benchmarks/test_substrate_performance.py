@@ -200,7 +200,7 @@ def prepare_bench_setup():
     """Config + designs for the prepare-throughput benches (tiny suite)."""
     from repro.circuit import superblue_suite
     from repro.pipeline import PipelineConfig
-    config = PipelineConfig(scale=0.25, grid_nx=16, grid_ny=16,
+    config = PipelineConfig(scale=0.25,
                             placement=PlacementConfig(outer_iterations=2),
                             router=RouterConfig(nx=16, ny=16,
                                                 rrr_iterations=2))

@@ -62,7 +62,6 @@ def main() -> None:
 
     # -- 3. micro-batched serving of raw designs ----------------------
     pipeline = PipelineConfig(
-        grid_nx=8, grid_ny=8,
         placement=PlacementConfig(outer_iterations=2),
         router=RouterConfig(nx=8, ny=8, rrr_iterations=2))
     engine = InferenceEngine(restored, ServeConfig(

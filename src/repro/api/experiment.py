@@ -26,11 +26,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..data.dataset import CongestionDataset
 from ..nn.layers import Module
-from ..train.config import TrainConfig
 from .spec import (ExperimentSpec, SpecError, spec_fingerprint, spec_to_dict)
 
 __all__ = ["ExperimentResult", "run_experiment", "load_dataset",
@@ -89,17 +88,6 @@ def load_dataset(spec: ExperimentSpec, verbose: bool = False
                               lazy=True, verbose=verbose, designs=designs,
                               **params)
     return CongestionDataset(graphs, channels=spec.model.channels)
-
-
-def _train_config(spec: ExperimentSpec, verbose: bool | None) -> TrainConfig:
-    t = spec.train
-    return TrainConfig(
-        epochs=t.epochs, batch_size=t.batch_size,
-        scale_lr_with_batch=t.scale_lr_with_batch,
-        lr=t.lr, lr_final=t.lr_final, gamma=t.gamma,
-        threshold=t.threshold, grad_clip=t.grad_clip, seed=t.seed,
-        use_sampling=t.use_sampling, crop=t.crop,
-        verbose=t.verbose if verbose is None else verbose)
 
 
 def _checkpoint_metadata(spec: ExperimentSpec, fingerprint: str,
@@ -240,7 +228,7 @@ def run_experiment(spec: ExperimentSpec, *,
             f"load_dataset(spec)")
     prepare_seconds = time.perf_counter() - t0
 
-    train_config = _train_config(spec, verbose)
+    train_config = replace(spec.train, verbose=verbose)
     model_config = {**runtime.default_config,
                     "channels": spec.model.channels,
                     **spec.model.params}

@@ -52,6 +52,7 @@ import typing
 from dataclasses import dataclass, field, fields
 
 from ..pipeline.config import fingerprint_of
+from ..train.config import TrainConfig
 
 __all__ = ["SpecError", "WorkloadSpec", "ModelSpec", "TrainSpec",
            "ComputeSpec", "OutputSpec", "ExperimentSpec",
@@ -96,22 +97,8 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
 
-@dataclass
-class TrainSpec:
-    """Optimisation schedule (maps 1:1 onto :class:`repro.train.TrainConfig`)."""
-
-    epochs: int = 20
-    batch_size: int = 1
-    scale_lr_with_batch: bool = True
-    lr: float = 2e-3
-    lr_final: float = 5e-4
-    gamma: float = 0.7
-    threshold: float = 0.5
-    grad_clip: float = 5.0
-    seed: int = 0
-    use_sampling: bool = False
-    crop: int | None = None
-    verbose: bool = False
+#: The ``[train]`` section is the optimisation schedule itself.
+TrainSpec = TrainConfig
 
 
 @dataclass
@@ -146,7 +133,7 @@ class ExperimentSpec:
 
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     model: ModelSpec = field(default_factory=ModelSpec)
-    train: TrainSpec = field(default_factory=TrainSpec)
+    train: TrainConfig = field(default_factory=TrainConfig)
     compute: ComputeSpec = field(default_factory=ComputeSpec)
     output: OutputSpec = field(default_factory=OutputSpec)
 

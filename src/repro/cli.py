@@ -539,7 +539,6 @@ def cmd_serve(args) -> int:
         serve=ServeConfig(pipeline=PipelineConfig(scale=args.scale),
                           max_batch=args.max_batch),
         config=ServiceConfig(workers=args.workers,
-                             max_batch=args.max_batch,
                              max_queue=args.max_queue,
                              max_queue_per_conn=max(1, args.max_queue // 4),
                              flush_deadline_ms=args.flush_deadline_ms,

@@ -33,7 +33,6 @@ from ..features.gnet import GNetData, compute_gnets
 from ..nn.sparse import SparseMatrix, row_normalize
 from ..routing.congestion import CongestionMaps
 from ..routing.grid import RoutingGrid
-from .hetero import HeteroGraph
 
 __all__ = ["LHGraph", "build_lattice_adjacency", "build_hypergraph_incidence",
            "build_lhgraph"]
@@ -129,17 +128,6 @@ class LHGraph:
         if self.congestion is None:
             raise ValueError("graph has no labels")
         return float(self.congestion[:, channel].mean())
-
-    def to_hetero(self) -> HeteroGraph:
-        """Materialise as a generic :class:`HeteroGraph` (schema checks)."""
-        g = HeteroGraph()
-        g.add_nodes("gcell", self.num_gcells, self.vc)
-        g.add_nodes("gnet", self.num_gnets, self.vn)
-        g.add_relation("gnet", "to_cell_sum", "gcell", self.op_nc_sum)
-        g.add_relation("gnet", "to_cell_mean", "gcell", self.op_nc_mean)
-        g.add_relation("gcell", "to_net_mean", "gnet", self.op_cn_mean)
-        g.add_relation("gcell", "to_cell_mean", "gcell", self.op_cc_mean)
-        return g
 
     def map_to_grid(self, values: np.ndarray) -> np.ndarray:
         """Reshape a flat per-G-cell vector back to the ``(nx, ny)`` grid."""

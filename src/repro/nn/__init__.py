@@ -17,8 +17,7 @@ from .conv import Conv2d, ConvTranspose2d, MaxPool2d, BatchNorm2d
 from .sparse import SparseMatrix, spmm, row_normalize, block_diag
 from .optim import Adam, clip_grad_norm, StepLR, two_phase_lr
 from .losses import MSELoss, GammaWeightedBCE, JointLoss, GANLoss
-from .serialize import (save_checkpoint, load_checkpoint,
-                        read_checkpoint_header, CheckpointError)
+from .serialize import save_checkpoint, read_checkpoint, CheckpointError
 
 __all__ = [
     "Tensor", "as_tensor", "no_grad", "is_grad_enabled", "functional",
@@ -29,6 +28,6 @@ __all__ = [
     "SparseMatrix", "spmm", "row_normalize", "block_diag",
     "Adam", "clip_grad_norm", "StepLR", "two_phase_lr",
     "MSELoss", "GammaWeightedBCE", "JointLoss", "GANLoss",
-    "save_checkpoint", "load_checkpoint", "read_checkpoint_header",
+    "save_checkpoint", "read_checkpoint",
     "CheckpointError",
 ]

@@ -31,8 +31,7 @@ from ..store.blobs import (BlobCorruptError, atomic_write_bytes,
 from ..testing.faults import current_injector
 from .layers import Module
 
-__all__ = ["save_checkpoint", "load_checkpoint", "read_checkpoint",
-           "read_checkpoint_header", "CheckpointError"]
+__all__ = ["save_checkpoint", "read_checkpoint", "CheckpointError"]
 
 _HEADER_KEY = "__repro_header__"
 
@@ -90,17 +89,14 @@ def _resolve_path(path: str) -> str:
     return path
 
 
-def _read_archive(path: str,
-                  with_state: bool = True) -> tuple[dict, dict | None]:
+def _read_archive(path: str) -> tuple[dict, dict]:
     """Read ``(header, state)`` from ``path``.
 
-    ``with_state=False`` skips materialising the parameter arrays — the
-    cheap path for metadata-only readers like
-    :func:`read_checkpoint_header`.  Corrupt, truncated or non-npz files
-    surface as :class:`CheckpointError` with ``corrupt=True`` (numpy
-    raises a zoo of ``BadZipFile`` / ``OSError`` / ``ValueError``
-    depending on *how* the bytes are wrong); transient I/O errors are
-    retried with backoff before giving up.
+    Corrupt, truncated or non-npz files surface as
+    :class:`CheckpointError` with ``corrupt=True`` (numpy raises a zoo of
+    ``BadZipFile`` / ``OSError`` / ``ValueError`` depending on *how* the
+    bytes are wrong); transient I/O errors are retried with backoff
+    before giving up.
     """
     if not os.path.exists(path):
         raise CheckpointError(f"{path}: no such checkpoint")
@@ -116,8 +112,8 @@ def _read_archive(path: str,
                 raise CheckpointError(f"{path}: not a repro checkpoint")
             header = json.loads(
                 bytes(archive[_HEADER_KEY].tobytes()).decode())
-            state = ({k: archive[k] for k in archive.files
-                      if k != _HEADER_KEY} if with_state else None)
+            state = {k: archive[k] for k in archive.files
+                     if k != _HEADER_KEY}
     except (BlobCorruptError, zipfile.BadZipFile, OSError, ValueError,
             EOFError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(
@@ -132,38 +128,12 @@ def _read_archive(path: str,
 def read_checkpoint(path: str) -> tuple[dict, dict]:
     """Read a checkpoint's ``(header, state)`` in one verified read.
 
-    For callers that build the model from the header before loading the
-    state (:func:`repro.serve.registry.restore_model`): architecture and
-    weights then come from the same bytes even if the file is replaced
-    concurrently.
+    The one read path: ``path`` may omit the ``.npz`` suffix.  The header
+    carries ``format``, ``num_parameters``, ``parameter_names`` and
+    ``metadata``; ``state`` feeds :meth:`Module.load_state_dict`.
+    :func:`repro.serve.registry.restore_model` builds the model from the
+    header's architecture first, so architecture and weights come from
+    the same bytes even if the file is replaced concurrently.  Raises
+    :class:`CheckpointError` on any missing or malformed file.
     """
     return _read_archive(_resolve_path(path))
-
-
-def read_checkpoint_header(path: str) -> dict:
-    """Return the JSON header of a checkpoint without needing a model.
-
-    The header carries ``format``, ``num_parameters``,
-    ``parameter_names`` and ``metadata`` (where
-    :func:`repro.serve.registry.save_model` records the typed
-    architecture description).  Raises :class:`CheckpointError` on any
-    malformed file.
-    """
-    header, _ = _read_archive(_resolve_path(path), with_state=False)
-    return header
-
-
-def load_checkpoint(model: Module, path: str) -> dict:
-    """Load parameters from ``path`` into ``model``; returns the metadata.
-
-    Raises :class:`CheckpointError` on an unreadable file, missing
-    header, parameter-name mismatch or shape mismatch (the latter two
-    delegated to ``load_state_dict``).
-    """
-    path = _resolve_path(path)
-    header, state = _read_archive(path)
-    try:
-        model.load_state_dict(state)
-    except (KeyError, ValueError) as exc:
-        raise CheckpointError(f"{path}: {exc}") from exc
-    return header.get("metadata", {})

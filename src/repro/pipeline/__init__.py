@@ -11,8 +11,8 @@ from a sequential monolith into a staged pipeline package:
   per-stage cache plus suite manifests and the lazy
   :class:`~repro.pipeline.cache.ManifestGraphs` view,
 * :mod:`repro.pipeline.runner`    — orchestration, including parallel
-  preparation over a ``ProcessPoolExecutor`` (``workers=N``) with
-  deterministic per-design seeds,
+  preparation over a ``ProcessPoolExecutor`` (``workers=N``),
+  bit-identical for any worker count,
 * :mod:`repro.pipeline.workloads` — the workload registry (synthetic
   superblue, macro-heavy and hotspot scenario families, Bookshelf
   directory loader) behind ``repro.cli prepare --suite NAME``.
@@ -33,7 +33,7 @@ from .config import SCHEMA_VERSION, PipelineConfig, fingerprint_of
 from .runner import (prepare_design, prepare_designs, prepare_workload,
                      stage_keys_for)
 from .stages import (PlacementProduct, RoutingProduct, STAGE_CALLS,
-                     derive_placement_seed, reset_stage_calls)
+                     reset_stage_calls)
 from .workloads import (Workload, get_workload, list_workloads,
                         load_workload, register_workload)
 
@@ -42,7 +42,7 @@ __all__ = [
     "SCHEMA_VERSION", "fingerprint_of", "design_fingerprint",
     "StageCache", "SuiteManifest", "ManifestEntry", "ManifestGraphs",
     "PlacementProduct", "RoutingProduct", "STAGE_CALLS", "reset_stage_calls",
-    "derive_placement_seed", "stage_keys_for",
+    "stage_keys_for",
     "prepare_designs", "prepare_workload",
     # workload registry
     "Workload", "register_workload", "get_workload", "list_workloads",

@@ -86,27 +86,23 @@ def fingerprint_of(obj, *, digest_size: int = 16) -> str:
 class PipelineConfig:
     """All knobs of the data-preparation pipeline.
 
+    ``router.nx`` × ``router.ny`` is the one G-cell grid: the router's
+    grid and the LH-graph's lattice are the same grid (paper §3).
+    Every design is placed with ``placement.seed``, so any worker count
+    prepares bit-identical products; ``base_seed`` seeds the synthetic
+    workload generators.
+
     ``max_gnet_fraction`` is the large-G-net filter (paper: 0.25 % at
     ~350 K G-cells; 5 % plays the same tail-trimming role at our default
     32 × 32 grids).
-
-    ``per_design_seeds`` derives an independent deterministic placement
-    seed per design from ``base_seed`` and the design content, so
-    parallel workers never share RNG state and ``--workers N`` is
-    bit-identical to a sequential run.  Off by default to preserve the
-    historical suite (every design placed with ``placement.seed``), which
-    is equally deterministic.
     """
 
     scale: float = 1.0
     base_seed: int = 2022
-    grid_nx: int = 32
-    grid_ny: int = 32
     max_gnet_fraction: float = 0.05
     placement: PlacementConfig = field(default_factory=PlacementConfig)
     router: RouterConfig = field(default_factory=RouterConfig)
     use_cache: bool = True
-    per_design_seeds: bool = False
 
     def fingerprint(self) -> str:
         """Stable hash of every parameter (cache key component).

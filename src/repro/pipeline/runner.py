@@ -6,8 +6,8 @@ The runner ties the pieces together:
   per-stage content-addressed caching (the input design is never
   mutated),
 * :func:`prepare_designs` — a list of designs, sequentially or across a
-  ``ProcessPoolExecutor`` (``workers=N``); per-design placement seeds are
-  derived deterministically, so any worker count produces bit-identical
+  ``ProcessPoolExecutor`` (``workers=N``); every design is placed with
+  ``config.placement.seed``, so any worker count produces bit-identical
   graphs,
 * :func:`prepare_workload` — look a workload up in the registry
   (:mod:`repro.pipeline.workloads`), prepare it, persist a
@@ -29,8 +29,7 @@ from .cache import (ManifestEntry, ManifestGraphs, StageCache, SuiteManifest,
                     default_cache_dir, design_fingerprint)
 from .config import PipelineConfig
 from .stages import (GRAPH_STAGE, PLACE_STAGE, ROUTE_STAGE,
-                     derive_placement_seed, run_graph_stage, run_place_stage,
-                     run_route_stage)
+                     run_graph_stage, run_place_stage, run_route_stage)
 
 __all__ = ["prepare_design", "prepare_designs", "prepare_workload",
            "stage_keys_for"]
@@ -47,19 +46,20 @@ def stage_keys_for(design: Design, config: PipelineConfig,
                    design_fp: str | None = None) -> dict[str, str]:
     """The chained (place, route, graph) cache keys of one design.
 
-    Pure hashing — no stage work.  Exposed so tests and tools can reason
-    about cache state without running the pipeline.
+    Each key chains its parent's key with the stage's config slice, so
+    the place key covers ``placement.seed`` through the placement
+    config.  Pure hashing — no stage work.  Exposed so tests and tools
+    can reason about cache state without running the pipeline.
     """
     fp = design_fp or design_fingerprint(design)
-    seed = derive_placement_seed(config, fp)
     place_key = StageCache.chain_key(
-        fp, PLACE_STAGE.config_fingerprint(config), f"seed:{seed}")
+        fp, PLACE_STAGE.config_fingerprint(config))
     route_key = StageCache.chain_key(
         place_key, ROUTE_STAGE.config_fingerprint(config))
     graph_key = StageCache.chain_key(
         route_key, GRAPH_STAGE.config_fingerprint(config))
     return {"design": fp, "place": place_key, "route": route_key,
-            "graph": graph_key, "seed": str(seed)}
+            "graph": graph_key}
 
 
 @dataclass
@@ -118,7 +118,6 @@ def _prepare_one(design: Design, config: PipelineConfig, cache: StageCache,
     """Run (or load) the three stages for one design."""
     fp = design_fp or design_fingerprint(design)
     keys = stage_keys_for(design, config, design_fp=fp)
-    seed = int(keys["seed"])
 
     def entry_for(graph: LHGraph) -> ManifestEntry:
         return ManifestEntry(
@@ -140,7 +139,7 @@ def _prepare_one(design: Design, config: PipelineConfig, cache: StageCache,
         placed_here = []
 
         def compute_place():
-            result = run_place_stage(target, config, seed=seed)
+            result = run_place_stage(target, config)
             placed_here.append(True)
             return result
 
@@ -196,10 +195,11 @@ def prepare_designs(designs: list[Design],
     """Prepare many designs; returns (graphs, manifest entries) in order.
 
     ``workers > 1`` fans designs out over a ``ProcessPoolExecutor``.
-    Results are collected in submission order and every per-design seed
-    is derived deterministically from the design content, so the output
-    is bit-identical for any worker count.  Workers share the cache root
-    through atomic writes; the parent process aggregates the entries.
+    Results are collected in submission order and every stage is a pure
+    function of (design, config) — placement uses
+    ``config.placement.seed`` — so the output is bit-identical for any
+    worker count.  Workers share the cache root through atomic writes;
+    the parent process aggregates the entries.
     """
     config = config or PipelineConfig()
     cache = _resolve_cache(config, cache)

@@ -16,21 +16,20 @@ does zero placement/routing work.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..circuit.design import Design
 from ..graph.lhgraph import LHGraph, build_lhgraph
-from ..placement.placer import PlacementConfig, place
+from ..placement.placer import place
 from ..routing.congestion import CongestionMaps, extract_maps
 from ..routing.grid import RoutingGrid
-from ..routing.router import GlobalRouter, RouterConfig
+from ..routing.router import GlobalRouter
 from .config import PipelineConfig, fingerprint_of
 
-__all__ = ["STAGE_CALLS", "reset_stage_calls", "derive_placement_seed",
+__all__ = ["STAGE_CALLS", "reset_stage_calls",
            "PlacementProduct", "RoutingProduct",
            "run_place_stage", "run_route_stage", "run_graph_stage",
            "PLACE_STAGE", "ROUTE_STAGE", "GRAPH_STAGE", "StageSpec"]
@@ -42,21 +41,6 @@ STAGE_CALLS: Counter = Counter()
 def reset_stage_calls() -> None:
     """Zero the stage-execution counters (test helper)."""
     STAGE_CALLS.clear()
-
-
-def derive_placement_seed(config: PipelineConfig, design_fp: str) -> int:
-    """Deterministic per-design placement seed.
-
-    Mixes ``base_seed`` with the design content fingerprint, so the seed
-    is stable across runs, process restarts and worker counts, yet
-    independent between designs.  Only used when
-    ``config.per_design_seeds`` is set; otherwise every design uses
-    ``config.placement.seed`` (the historical behaviour).
-    """
-    if not config.per_design_seeds:
-        return config.placement.seed
-    payload = f"{config.base_seed}:{design_fp}".encode()
-    return int.from_bytes(hashlib.sha256(payload).digest()[:4], "big") % (2 ** 31)
 
 
 # ----------------------------------------------------------------------
@@ -118,33 +102,27 @@ class RoutingProduct:
 # Stage runners
 # ----------------------------------------------------------------------
 
-def run_place_stage(design: Design, config: PipelineConfig,
-                    seed: int | None = None) -> PlacementProduct:
+def run_place_stage(design: Design,
+                    config: PipelineConfig) -> PlacementProduct:
     """Place ``design`` **in place** and return the placement product.
 
     Callers that must preserve the input design pass a copy (the runner
     does; see :func:`repro.pipeline.prepare_design`).
     """
     STAGE_CALLS["place"] += 1
-    placement_cfg = config.placement
-    if seed is not None and seed != placement_cfg.seed:
-        placement_cfg = PlacementConfig(**{**asdict(placement_cfg),
-                                           "seed": seed})
-    result = place(design, placement_cfg)
+    result = place(design, config.placement)
     return PlacementProduct(
         cell_x=design.cell_x.copy(), cell_y=design.cell_y.copy(),
         hpwl_initial=result.hpwl_initial, hpwl_global=result.hpwl_global,
         hpwl_final=result.hpwl_final,
-        seed=placement_cfg.seed,
+        seed=config.placement.seed,
     )
 
 
 def run_route_stage(design: Design, config: PipelineConfig) -> RoutingProduct:
     """Globally route the (placed) ``design``; returns the grid product."""
     STAGE_CALLS["route"] += 1
-    router_cfg = RouterConfig(**{**asdict(config.router),
-                                 "nx": config.grid_nx, "ny": config.grid_ny})
-    result = GlobalRouter(design, router_cfg).run()
+    result = GlobalRouter(design, config.router).run()
     grid = result.grid
     return RoutingProduct(
         nx=grid.nx, ny=grid.ny,
@@ -206,8 +184,7 @@ class _PlaceSpec(StageSpec):
 
 class _RouteSpec(StageSpec):
     def config_slice(self, config: PipelineConfig):
-        return {"router": config.router,
-                "grid_nx": config.grid_nx, "grid_ny": config.grid_ny}
+        return {"router": config.router}
 
 
 class _GraphSpec(StageSpec):

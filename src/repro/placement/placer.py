@@ -21,20 +21,28 @@ from ..circuit.design import Design
 from .hpwl import hpwl
 from .legalize import legalize
 from .quadratic import QuadraticPlacer
-from .spreading import SpreadingConfig, spread
+from .spreading import spread
 
 __all__ = ["PlacementConfig", "PlacementResult", "place"]
 
 
+#: Factor the anchor weight grows by after each spread/re-solve round.
+_ANCHOR_GROWTH = 2.0
+
+
 @dataclass
 class PlacementConfig:
-    """Parameters of the global-placement loop."""
+    """Parameters of the global-placement loop.
+
+    ``outer_iterations`` spread/re-solve rounds run with the default
+    :class:`~repro.placement.spreading.SpreadingConfig`; the anchor weight
+    starts at ``anchor_weight`` and doubles each round.  ``seed`` drives
+    the spreading jitter and is the placement seed of every design.
+    Placement always ends with row legalisation.
+    """
 
     outer_iterations: int = 3
-    spread_config: SpreadingConfig | None = None
     anchor_weight: float = 0.15
-    anchor_growth: float = 2.0
-    legalize_rows: bool = True
     seed: int = 0
 
 
@@ -55,7 +63,6 @@ def place(design: Design, config: PlacementConfig | None = None) -> PlacementRes
     cells; fixed cells never move.
     """
     config = config or PlacementConfig()
-    spread_cfg = config.spread_config or SpreadingConfig()
     rng = np.random.default_rng(config.seed)
 
     hpwl_initial = hpwl(design)
@@ -70,7 +77,7 @@ def place(design: Design, config: PlacementConfig | None = None) -> PlacementRes
 
     anchor_w = config.anchor_weight
     for _ in range(config.outer_iterations):
-        spread(design, spread_cfg, seed=int(rng.integers(0, 2 ** 31)))
+        spread(design, seed=int(rng.integers(0, 2 ** 31)))
         # Anchor the quadratic system at the spread cell centres.
         anchors_x = design.cell_x[movable] + design.cell_w[movable] / 2.0
         anchors_y = design.cell_y[movable] + design.cell_h[movable] / 2.0
@@ -78,12 +85,11 @@ def place(design: Design, config: PlacementConfig | None = None) -> PlacementRes
                             anchor_weight=anchor_w)
         design.cell_x[movable] = x
         design.cell_y[movable] = y
-        anchor_w *= config.anchor_growth
+        anchor_w *= _ANCHOR_GROWTH
 
     # Final spread before snapping to rows.
-    spread(design, spread_cfg, seed=int(rng.integers(0, 2 ** 31)))
-    if config.legalize_rows:
-        legalize(design)
+    spread(design, seed=int(rng.integers(0, 2 ** 31)))
+    legalize(design)
     return PlacementResult(
         hpwl_initial=hpwl_initial,
         hpwl_global=hpwl_global,

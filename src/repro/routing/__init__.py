@@ -7,7 +7,7 @@ congestion label maps.
 """
 
 from .grid import RoutingGrid, flatten, path_cells, path_edges, unflatten
-from .steiner import decompose_net, mst_edges, net_terminals
+from .steiner import decompose_net, mst_edges
 from .pattern import (l_paths, z_paths, path_cost, best_pattern_path,
                       straight_path)
 from .maze import astar_route
@@ -16,7 +16,7 @@ from .congestion import CongestionMaps, extract_maps, congestion_rate
 
 __all__ = [
     "RoutingGrid", "path_edges", "path_cells", "flatten", "unflatten",
-    "decompose_net", "mst_edges", "net_terminals",
+    "decompose_net", "mst_edges",
     "l_paths", "z_paths", "path_cost", "best_pattern_path", "straight_path",
     "astar_route",
     "RouterConfig", "RoutingResult", "GlobalRouter",

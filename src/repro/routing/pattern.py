@@ -93,16 +93,13 @@ def path_cost(path: list[int], cost: list[float]) -> float:
 
 
 def best_pattern_path(a: tuple[int, int], b: tuple[int, int],
-                      cost: list[float], nx: int, ny: int,
-                      use_z: bool = True) -> list[int]:
-    """Cheapest L (and optionally Z) path between two G-cells.
+                      cost: list[float], nx: int, ny: int) -> list[int]:
+    """Cheapest L or Z path between two G-cells.
 
     The first candidate of least cost wins (L before Z, in generation
     order).
     """
-    candidates = l_paths(a, b, nx, ny)
-    if use_z:
-        candidates.extend(z_paths(a, b, nx, ny))
+    candidates = l_paths(a, b, nx, ny) + z_paths(a, b, nx, ny)
     best = None
     best_cost = np.inf
     for path in candidates:

@@ -34,7 +34,7 @@ from ..circuit.design import Design
 from .grid import RoutingGrid, flatten
 from .maze import astar_route
 from .pattern import best_pattern_path
-from .steiner import decompose_net, net_terminals
+from .steiner import decompose_net
 
 __all__ = ["RouterConfig", "RoutingResult", "GlobalRouter"]
 
@@ -43,21 +43,23 @@ __all__ = ["RouterConfig", "RoutingResult", "GlobalRouter"]
 class RouterConfig:
     """Router tuning parameters.
 
-    ``capacity_h/v`` set the per-edge track budget; the per-design
-    ``capacity_factor`` from the synthetic generator multiplies them, which
-    is how the benchmark suite spans congestion rates from ~1 % to ~50 %.
+    ``nx`` × ``ny`` is the pipeline's one G-cell grid: the routing grid
+    and the LH-graph lattice built from it.  ``capacity_h/v`` set the
+    per-edge track budget; the per-design ``capacity_factor`` from the
+    synthetic generator (``design.metadata``, 1.0 when absent) multiplies
+    them, which is how the benchmark suite spans congestion rates from
+    ~1 % to ~50 %.  Segments are pattern-routed with L and Z shapes;
+    rip-up-and-reroute A* searches :func:`~repro.routing.maze.astar_route`'s
+    default box of 6 G-cells around a segment's endpoints.
     """
 
     nx: int = 32
     ny: int = 32
     capacity_h: float = 12.5
     capacity_v: float = 12.5
-    use_z_patterns: bool = True
     rrr_iterations: int = 4
     overflow_penalty: float = 4.0
     history_increment: float = 0.5
-    maze_bbox_margin: int = 6
-    apply_capacity_factor: bool = True
 
 
 @dataclass
@@ -77,9 +79,7 @@ class GlobalRouter:
     def __init__(self, design: Design, config: RouterConfig | None = None):
         self.design = design
         self.config = config or RouterConfig()
-        factor = 1.0
-        if self.config.apply_capacity_factor:
-            factor = float(design.metadata.get("capacity_factor", 1.0))
+        factor = float(design.metadata.get("capacity_factor", 1.0))
         self.grid = RoutingGrid(
             design, nx=self.config.nx, ny=self.config.ny,
             capacity_h=self.config.capacity_h * factor,
@@ -114,18 +114,27 @@ class GlobalRouter:
 
     # ------------------------------------------------------------------
     def decompose(self) -> None:
-        """Build the two-pin segment list for every net."""
+        """Build the two-pin segment list for every net.
+
+        Every pin is mapped to its G-cell in one vectorised pass; each
+        net's terminals are its pins' G-cells, deduplicated in first-seen
+        order.
+        """
+        design = self.design
+        gx, gy = self.grid.gcells_of(*design.pin_positions())
+        cells = list(zip(gx.tolist(), gy.tolist()))
+        ptr = design.net_ptr.tolist()
         self._segments.clear()
-        for net in range(self.design.num_nets):
-            terminals = net_terminals(self.grid, self.design, net)
+        for start, stop in zip(ptr, ptr[1:]):
+            terminals = list(dict.fromkeys(cells[start:stop]))
             self._segments.extend(decompose_net(terminals))
 
     def initial_route(self) -> None:
         """Pattern-route every segment with congestion-aware choice."""
-        nx, ny, use_z = self.grid.nx, self.grid.ny, self.config.use_z_patterns
+        nx, ny = self.grid.nx, self.grid.ny
         self._paths = []
         for a, b in self._segments:
-            path = best_pattern_path(a, b, self.cost, nx, ny, use_z=use_z)
+            path = best_pattern_path(a, b, self.cost, nx, ny)
             self.add_path(path)
             self._paths.append(path)
 
@@ -143,13 +152,12 @@ class GlobalRouter:
             return 0
         self.bump_history()
         nx, ny = self.grid.nx, self.grid.ny
-        margin = self.config.maze_bbox_margin
         # Reroute longest segments first: they have the most freedom.
         bad.sort(key=lambda sid: -len(self._paths[sid]))
         for sid in bad:
             self.add_path(self._paths[sid], sign=-1.0)
             a, b = self._segments[sid]
-            path = astar_route(a, b, self.cost, nx, ny, bbox_margin=margin)
+            path = astar_route(a, b, self.cost, nx, ny)
             if path is None:  # pragma: no cover - connected grid
                 path = self._paths[sid]
             self.add_path(path)

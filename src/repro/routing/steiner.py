@@ -11,20 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["decompose_net", "mst_edges", "net_terminals"]
-
-
-def net_terminals(grid, design, net: int) -> list[tuple[int, int]]:
-    """Unique G-cell coordinates of a net's pins at the current placement."""
-    pins = design.net_pin_slice(net)
-    cells = design.pin_cell[pins.start:pins.stop]
-    px = design.cell_x[cells] + design.pin_dx[pins.start:pins.stop]
-    py = design.cell_y[cells] + design.pin_dy[pins.start:pins.stop]
-    gx, gy = grid.gcells_of(px, py)
-    seen: dict[tuple[int, int], None] = {}
-    for a, b in zip(gx, gy):
-        seen[(int(a), int(b))] = None
-    return list(seen)
+__all__ = ["decompose_net", "mst_edges"]
 
 
 def mst_edges(points: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -61,7 +61,9 @@ class ServeConfig:
 
     ``pipeline`` configures on-demand preparation of raw designs (and
     its fingerprints key both cache tiers); ``max_batch`` bounds how many
-    designs share one block-diagonal forward pass; ``sample_cache``
+    designs share one block-diagonal forward pass (and, under
+    :class:`~repro.serve.service.ServeService`, how many warm requests
+    form one dispatched batch); ``sample_cache``
     sizes the in-memory prepared-sample LRU; ``threshold`` binarises
     probabilities for the predicted congestion rate in results;
     ``cache_dir`` overrides the on-disk stage-cache root (default:

@@ -22,12 +22,12 @@ Semantics, in the order they matter operationally:
   queue.  Warm queues drain with strict priority and cold jobs dispatch
   one request at a time, so a warm request is never queued behind the
   cold preparation backlog — it waits at most one in-flight job.
-* **Auto-flush deadline** — warm requests buffer up to ``max_batch`` to
-  share one block-diagonal forward pass, but never longer than
-  ``flush_deadline_ms``: the latency target triggers the batch even
-  when the size trigger hasn't fired.  An explicit ``flush`` op forces
-  every buffer and barriers until the connection's requests are
-  answered.
+* **Auto-flush deadline** — warm requests buffer up to the engine's
+  ``ServeConfig.max_batch`` to share one block-diagonal forward pass,
+  but never longer than ``flush_deadline_ms``: the latency target
+  triggers the batch even when the size trigger hasn't fired.  An
+  explicit ``flush`` op forces every buffer and barriers until the
+  connection's requests are answered.
 * **Crash containment** — a worker killed or hung mid-batch is detected
   by the supervisor's watchdog and restarted; the affected requests are
   retried once on the fresh worker and, failing that, answered with an
@@ -69,7 +69,9 @@ __all__ = ["ServiceConfig", "ServeService"]
 class ServiceConfig:
     """Operational knobs of the multi-worker serving service.
 
-    ``workers`` sizes the engine-worker pool; ``max_queue`` /
+    ``workers`` sizes the engine-worker pool (warm batches are bounded
+    by the engine's :attr:`~repro.serve.engine.ServeConfig.max_batch`,
+    the one batch size of the service and its workers); ``max_queue`` /
     ``max_queue_per_conn`` bound the admitted-but-unanswered requests
     globally and per connection (overflow gets an immediate
     backpressure reply); ``flush_deadline_ms`` is the auto-flush latency
@@ -79,7 +81,6 @@ class ServiceConfig:
     """
 
     workers: int = 2
-    max_batch: int = 8
     flush_deadline_ms: float = 25.0
     max_queue: int = 256
     max_queue_per_conn: int = 64
@@ -144,6 +145,7 @@ class ServeService:
                  dtype: str | None = None,
                  supervisor=None):
         self.config = config or ServiceConfig()
+        self.serve = serve or ServeConfig()
         self.checkpoint = checkpoint
         self.router = Router(self.config.workers,
                              default_suite=default_suite)
@@ -153,7 +155,7 @@ class ServeService:
                                  "supervisor is injected")
             supervisor = Supervisor(
                 WorkerSpec(checkpoint=checkpoint,
-                           serve=serve or ServeConfig(),
+                           serve=self.serve,
                            default_suite=default_suite, dtype=dtype),
                 num_workers=self.config.workers,
                 job_timeout_s=self.config.job_timeout_s,
@@ -301,20 +303,20 @@ class ServeService:
     def _take_batch(self, w: int) -> list[_Item] | None:
         """The next batch worker ``w`` should run, or None to sleep.
 
-        Warm items go first, in batches up to ``max_batch``, but only
+        Warm items go first, in batches up to ``serve.max_batch``, but only
         once *due* (size trigger, auto-flush deadline, or a forced
         flush).  Cold items dispatch one at a time so a warm arrival
         waits at most one preparation, never a backlog.
         """
         warm = self._warm[w]
         if warm:
-            due = (len(warm) >= self.config.max_batch
+            max_batch = self.serve.max_batch
+            due = (len(warm) >= max_batch
                    or self._force_flush[w]
                    or time.monotonic() >= warm[0].deadline_at)
             if due:
                 batch = [warm.popleft()
-                         for _ in range(min(len(warm),
-                                            self.config.max_batch))]
+                         for _ in range(min(len(warm), max_batch))]
                 if not warm:
                     self._force_flush[w] = False
                 return batch

@@ -47,6 +47,9 @@ from .engine import InferenceEngine, PredictRequest, ServeConfig
 
 __all__ = ["Supervisor", "WorkerCrashed", "WorkerError", "WorkerSpec"]
 
+#: Longest pause, in seconds, between restarts of one crash-looping worker.
+_RESTART_BACKOFF_CAP_S = 5.0
+
 
 class WorkerCrashed(RuntimeError):
     """A worker process died or hung while serving a job.
@@ -181,7 +184,6 @@ class Supervisor:
                  job_timeout_s: float = 120.0,
                  start_method: str = "spawn", *,
                  restart_backoff_s: float = 0.1,
-                 restart_backoff_cap_s: float = 5.0,
                  max_restarts: int = 5,
                  restart_window_s: float = 60.0):
         if num_workers < 1:
@@ -190,7 +192,6 @@ class Supervisor:
         self.num_workers = num_workers
         self.job_timeout_s = job_timeout_s
         self.restart_backoff_s = restart_backoff_s
-        self.restart_backoff_cap_s = restart_backoff_cap_s
         self.max_restarts = max_restarts
         self.restart_window_s = restart_window_s
         self._ctx = multiprocessing.get_context(start_method)
@@ -282,7 +283,8 @@ class Supervisor:
     def _restart(self, worker_id: int) -> None:
         """Replace a dead/hung worker with a fresh one (current spec).
 
-        Restarts back off exponentially (capped) and trip a per-worker
+        Restarts back off exponentially from ``restart_backoff_s`` (capped
+        at :data:`_RESTART_BACKOFF_CAP_S`) and trip a per-worker
         circuit breaker after ``max_restarts`` within
         ``restart_window_s`` — a worker that can never come up (e.g. a
         corrupt checkpoint) must fail its jobs explicitly instead of
@@ -300,7 +302,7 @@ class Supervisor:
                 f"to recover")
             return
         if times:  # first restart in a quiet window is immediate
-            time.sleep(min(self.restart_backoff_cap_s,
+            time.sleep(min(_RESTART_BACKOFF_CAP_S,
                            self.restart_backoff_s * (2 ** (len(times) - 1))))
         times.append(time.monotonic())
         self._respawn(worker_id, handle)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["TrainConfig"]
 
@@ -14,8 +14,8 @@ class TrainConfig:
     The paper trains with Adam at learning rates 2e-3 and 5e-4; we realise
     that as a start lr of ``lr`` decayed to ``lr_final`` halfway through
     training.  ``gamma`` is the label-balance factor of Eq. 5, applied to
-    every model.  ``fanouts`` are the paper's {6, 3, 2} neighbour-sampling
-    fan-outs, active when ``use_sampling`` is on.
+    every model.  ``use_sampling`` trains LHNN on neighbour samples drawn
+    with the paper's {6, 3, 2} fan-outs.
 
     ``batch_size`` designs are composed into one block-diagonal supergraph
     per optimizer step (DGL-style mini-batching via
@@ -28,6 +28,10 @@ class TrainConfig:
     number of designs actually in that batch (a ragged last batch scales
     by its own size, not the configured one) — so batched runs match the
     per-design trajectory within noise at the same epoch budget.
+
+    This is also the ``[train]`` section of
+    :class:`~repro.api.ExperimentSpec` (``repro.api.TrainSpec`` is
+    another name for it), so every field here is a spec key.
     """
 
     epochs: int = 20
@@ -40,9 +44,6 @@ class TrainConfig:
     grad_clip: float = 5.0
     seed: int = 0
     use_sampling: bool = False
-    fanouts: dict = field(default_factory=lambda: {
-        "featuregen": 6, "hypermp": 3, "latticemp": 2})
-    gan_weight: float = 0.15       # Pix2Pix adversarial-term weight
     crop: int | None = None        # CNN crop size (paper: 256×256 crops of
     #                                ~550×600 grids ≈ half the die side; use
     #                                grid/2 to mirror that protocol; None =

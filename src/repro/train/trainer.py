@@ -73,6 +73,11 @@ from .metrics import evaluate_binary
 
 __all__ = ["fit", "evaluate", "predict_probs"]
 
+#: The paper's neighbour-sampling fan-outs, used when ``use_sampling`` is on.
+_FANOUTS = {"featuregen": 6, "hypermp": 3, "latticemp": 2}
+#: Weight of Pix2Pix's adversarial term in the generator loss.
+_GAN_WEIGHT = 0.15
+
 
 def predict_probs(model, sample: GraphSample,
                   crop: int | None = None) -> np.ndarray:
@@ -196,7 +201,7 @@ def _crop_batches(samples, config: TrainConfig, rng) -> list:
 def _lhnn_loss(model, batch, config: TrainConfig, rng):
     operators = None
     if config.use_sampling:
-        operators = sampled_operators(batch.graph, config.fanouts, rng)
+        operators = sampled_operators(batch.graph, _FANOUTS, rng)
     out = model(batch.graph, operators=operators,
                 vc=Tensor(batch.features), vn=Tensor(batch.net_features))
     loss_fn = JointLoss(gamma=config.gamma,
@@ -261,7 +266,7 @@ def _gan_step(model, opts, batch, members: int,
     opt_g.zero_grad()
     fake = model.generator(x)
     d_fake = model.discriminate(x, fake)
-    loss_g = (config.gan_weight * gan_loss(d_fake, True)
+    loss_g = (_GAN_WEIGHT * gan_loss(d_fake, True)
               + GammaWeightedBCE(gamma=config.gamma)(fake, label))
     loss_g.backward()
     clip_grad_norm(model.generator.parameters(), config.grad_clip)

@@ -1,12 +1,15 @@
 """Spec layer: load, override, validate, fingerprint."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.api import (ExperimentSpec, SpecError, apply_overrides,
                        dumps_spec, load_spec, spec_fingerprint,
                        spec_from_dict, spec_to_dict)
+
+SMOKE_SPEC = Path(__file__).parents[2] / "examples" / "specs" / "smoke.toml"
 
 
 class TestDefaultsAndRoundTrip:
@@ -227,6 +230,14 @@ class TestFingerprint:
                                 "workload.workers=4",
                                 "workload.use_cache=false"])
         assert spec_fingerprint(a) == spec_fingerprint(b)
+
+    def test_pinned_values(self):
+        """Fingerprints name result manifests and seed unpinned sweep
+        points, so reshaping the spec's types must not move them."""
+        assert spec_fingerprint(ExperimentSpec()) == \
+            "7e679d8ea8d88cd5d52acb48ea8f0bf7"
+        assert spec_fingerprint(load_spec(str(SMOKE_SPEC))) == \
+            "6d86e1d8c8aac71d1a493a33f23c5e7b"
 
     def test_key_order_independent(self):
         a = spec_from_dict({"train": {"epochs": 3, "seed": 1}})

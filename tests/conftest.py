@@ -69,8 +69,7 @@ def small_graph(placed_design, routing_result, congestion_maps):
 @pytest.fixture(scope="session")
 def tiny_pipeline_config():
     """Very small full-pipeline config used by integration tests."""
-    return PipelineConfig(scale=0.25, grid_nx=16, grid_ny=16,
-                          use_cache=False,
+    return PipelineConfig(scale=0.25, use_cache=False,
                           placement=PlacementConfig(outer_iterations=2),
                           router=RouterConfig(nx=16, ny=16,
                                               capacity_h=5.0, capacity_v=5.0,

@@ -1,11 +1,10 @@
-"""Tests for LH-graph construction and the heterogeneous container."""
+"""Tests for LH-graph construction."""
 
 import numpy as np
 import pytest
 
-from repro.graph import (HeteroGraph, build_hypergraph_incidence,
-                         build_lattice_adjacency, build_lhgraph)
-from repro.nn import SparseMatrix
+from repro.graph import (build_hypergraph_incidence, build_lattice_adjacency,
+                         build_lhgraph)
 
 
 class TestLatticeAdjacency:
@@ -91,38 +90,3 @@ class TestLHGraph:
         g = small_graph
         flat = np.arange(g.num_gcells, dtype=float)
         assert np.allclose(g.map_to_grid(flat).reshape(-1), flat)
-
-    def test_to_hetero_schema(self, small_graph):
-        h = small_graph.to_hetero()
-        schema = h.schema()
-        assert schema["nodes"]["gcell"] == small_graph.num_gcells
-        assert schema["nodes"]["gnet"] == small_graph.num_gnets
-        assert len(schema["relations"]) == 4
-
-
-class TestHeteroGraph:
-    def test_duplicate_node_type_rejected(self):
-        g = HeteroGraph()
-        g.add_nodes("a", 3)
-        with pytest.raises(ValueError):
-            g.add_nodes("a", 3)
-
-    def test_feature_row_mismatch_rejected(self):
-        g = HeteroGraph()
-        g.add_nodes("a", 3)
-        with pytest.raises(ValueError):
-            g.set_features("a", np.zeros((4, 2)))
-
-    def test_relation_shape_checked(self):
-        g = HeteroGraph()
-        g.add_nodes("a", 3)
-        g.add_nodes("b", 2)
-        with pytest.raises(ValueError):
-            g.add_relation("a", "to", "b", SparseMatrix(np.zeros((3, 2))))
-        g.add_relation("a", "to", "b", SparseMatrix(np.zeros((2, 3))))
-        assert g.has_relation("a", "to", "b")
-
-    def test_unknown_node_type(self):
-        g = HeteroGraph()
-        with pytest.raises(KeyError):
-            g.set_features("ghost", np.zeros((1, 1)))

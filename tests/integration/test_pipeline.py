@@ -19,8 +19,8 @@ class TestPrepareDesign:
     def test_grid_dimensions_respected(self, tiny_pipeline_config,
                                        tiny_graph_suite):
         g = tiny_graph_suite[0]
-        assert g.nx == tiny_pipeline_config.grid_nx
-        assert g.ny == tiny_pipeline_config.grid_ny
+        assert g.nx == tiny_pipeline_config.router.nx
+        assert g.ny == tiny_pipeline_config.router.ny
 
     def test_deterministic(self, tiny_pipeline_config):
         spec = DesignSpec(name="det", seed=71, num_movable=120, die_size=32.0)
@@ -34,13 +34,16 @@ class TestPrepareDesign:
         spec = DesignSpec(name="capvar", seed=72, num_movable=150,
                           die_size=32.0, utilization=0.5)
         base = PlacementConfig(outer_iterations=2)
-        lo = PipelineConfig(grid_nx=16, grid_ny=16, use_cache=False,
+        lo = PipelineConfig(use_cache=False,
                             placement=base,
-                            router=RouterConfig(capacity_h=5.0, capacity_v=5.0,
+                            router=RouterConfig(nx=16, ny=16,
+                                                capacity_h=5.0,
+                                                capacity_v=5.0,
                                                 rrr_iterations=1))
-        hi = PipelineConfig(grid_nx=16, grid_ny=16, use_cache=False,
+        hi = PipelineConfig(use_cache=False,
                             placement=base,
-                            router=RouterConfig(capacity_h=20.0,
+                            router=RouterConfig(nx=16, ny=16,
+                                                capacity_h=20.0,
                                                 capacity_v=20.0,
                                                 rrr_iterations=1))
         g_lo = prepare_design(generate_design(spec), lo)
@@ -59,8 +62,8 @@ class TestPipelineConfig:
                 == PipelineConfig().fingerprint())
 
     def test_fingerprint_sensitive_to_params(self):
-        a = PipelineConfig(grid_nx=32)
-        b = PipelineConfig(grid_nx=16)
+        a = PipelineConfig(router=RouterConfig(nx=32))
+        b = PipelineConfig(router=RouterConfig(nx=16))
         assert a.fingerprint() != b.fingerprint()
 
     def test_fingerprint_recurses_into_nested_dataclasses(self):
@@ -82,8 +85,7 @@ class TestPipelineConfig:
 class TestSuiteCaching:
     def test_cache_roundtrip(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cfg = PipelineConfig(scale=0.15, grid_nx=8, grid_ny=8,
-                             use_cache=True,
+        cfg = PipelineConfig(scale=0.15, use_cache=True,
                              placement=PlacementConfig(outer_iterations=1),
                              router=RouterConfig(nx=8, ny=8,
                                                  rrr_iterations=1))

@@ -49,7 +49,8 @@ def _as_bytes(product):
 
 
 def test_reference_kernels_give_byte_equal_products(monkeypatch):
-    config = PipelineConfig(scale=0.2, grid_nx=16, grid_ny=16)
+    config = PipelineConfig(scale=0.2,
+                            router=router.RouterConfig(nx=16, ny=16))
     designs = [hotspot_suite(scale=0.2)[0], macro_heavy_suite(scale=0.2)[0]]
     fast = [_prepare(design, config) for design in designs]
     capacity = fast[1][1].h_capacity

@@ -30,7 +30,7 @@ from repro.routing import RouterConfig
 
 
 def tiny_config(**overrides) -> PipelineConfig:
-    base = dict(scale=0.15, grid_nx=8, grid_ny=8, use_cache=True,
+    base = dict(scale=0.15, use_cache=True,
                 placement=PlacementConfig(outer_iterations=1),
                 router=RouterConfig(nx=8, ny=8, rrr_iterations=1))
     base.update(overrides)
@@ -178,22 +178,18 @@ class TestFingerprints:
 class TestParallelPreparation:
     @pytest.mark.slow
     def test_parallel_matches_sequential_bitwise(self, tiny_designs):
-        for per_design_seeds in (False, True):
-            cfg = tiny_config(use_cache=False,
-                              per_design_seeds=per_design_seeds)
-            seq, seq_entries = prepare_designs(tiny_designs, cfg,
-                                               workers=1,
-                                               cache=StageCache(None))
-            par, par_entries = prepare_designs(tiny_designs, cfg,
-                                               workers=4,
-                                               cache=StageCache(None))
-            for a, b in zip(seq, par):
-                assert a.name == b.name
-                assert np.array_equal(a.vc, b.vc)
-                assert np.array_equal(a.vn, b.vn)
-                assert np.array_equal(a.demand, b.demand)
-                assert np.array_equal(a.congestion, b.congestion)
-            assert seq_entries == par_entries
+        cfg = tiny_config(use_cache=False)
+        seq, seq_entries = prepare_designs(tiny_designs, cfg, workers=1,
+                                           cache=StageCache(None))
+        par, par_entries = prepare_designs(tiny_designs, cfg, workers=4,
+                                           cache=StageCache(None))
+        for a, b in zip(seq, par):
+            assert a.name == b.name
+            assert np.array_equal(a.vc, b.vc)
+            assert np.array_equal(a.vn, b.vn)
+            assert np.array_equal(a.demand, b.demand)
+            assert np.array_equal(a.congestion, b.congestion)
+        assert seq_entries == par_entries
 
     @pytest.mark.slow
     def test_parallel_workers_share_cache(self, cache_dir, tiny_designs):
@@ -203,13 +199,6 @@ class TestParallelPreparation:
         graphs, _ = prepare_designs(tiny_designs, cfg, workers=1)
         assert STAGE_CALLS["place"] == 0  # parent reads workers' blobs
         assert len(graphs) == len(tiny_designs)
-
-    def test_per_design_seeds_deterministic_and_distinct(self, tiny_designs):
-        cfg = tiny_config(per_design_seeds=True)
-        seeds = [int(stage_keys_for(d, cfg)["seed"]) for d in tiny_designs]
-        assert seeds == [int(stage_keys_for(d, cfg)["seed"])
-                        for d in tiny_designs]
-        assert len(set(seeds)) == len(seeds)
 
 
 class TestPrepareDesignMutation:

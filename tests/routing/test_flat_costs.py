@@ -26,8 +26,7 @@ def design():
 
 
 def _router(design, nx, ny, **knobs):
-    return GlobalRouter(design, RouterConfig(
-        nx=nx, ny=ny, apply_capacity_factor=False, **knobs))
+    return GlobalRouter(design, RouterConfig(nx=nx, ny=ny, **knobs))
 
 
 def _assert_costs_exact(router):

@@ -29,8 +29,7 @@ def grid(placed):
 @pytest.fixture
 def router(placed):
     return GlobalRouter(placed, RouterConfig(
-        nx=16, ny=16, capacity_h=5.0, capacity_v=5.0,
-        apply_capacity_factor=False))
+        nx=16, ny=16, capacity_h=5.0, capacity_v=5.0))
 
 
 def _edges(*cells):
@@ -247,7 +246,7 @@ class TestGlobalRouter:
         rates = []
         for cap in (4.0, 16.0):
             cfg = RouterConfig(nx=16, ny=16, capacity_h=cap, capacity_v=cap,
-                               rrr_iterations=2, apply_capacity_factor=False)
+                               rrr_iterations=2)
             result = GlobalRouter(placed.copy(), cfg).run()
             rates.append(congestion_rate(extract_maps(result.grid), "h"))
         assert rates[1] <= rates[0]

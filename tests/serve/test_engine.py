@@ -27,8 +27,7 @@ def serve_designs():
 
 
 def _fast_pipeline() -> PipelineConfig:
-    return PipelineConfig(grid_nx=16, grid_ny=16,
-                          placement=PlacementConfig(outer_iterations=2),
+    return PipelineConfig(placement=PlacementConfig(outer_iterations=2),
                           router=RouterConfig(nx=16, ny=16,
                                               rrr_iterations=2))
 

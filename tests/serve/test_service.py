@@ -35,8 +35,7 @@ SPEC_C = {"name": "svc-c", "seed": 5, "num_movable": 60, "die_size": 32.0}
 
 
 def small_pipeline():
-    return PipelineConfig(grid_nx=8, grid_ny=8,
-                          placement=PlacementConfig(outer_iterations=2),
+    return PipelineConfig(placement=PlacementConfig(outer_iterations=2),
                           router=RouterConfig(nx=8, ny=8, capacity_h=10.0,
                                               capacity_v=10.0,
                                               rrr_iterations=2))
@@ -107,12 +106,13 @@ async def running(service):
         await asyncio.wait_for(task, 120)
 
 
-def fake_service(config=None, num_workers=1):
+def fake_service(config=None, num_workers=1, max_batch=8):
     config = config or ServiceConfig(workers=num_workers)
     config.workers = num_workers
     supervisor = FakeSupervisor(num_workers=num_workers)
-    service = ServeService(checkpoint="ckpt-0", config=config,
-                           supervisor=supervisor)
+    service = ServeService(checkpoint="ckpt-0",
+                           serve=ServeConfig(max_batch=max_batch),
+                           config=config, supervisor=supervisor)
     return service, supervisor
 
 
@@ -216,7 +216,7 @@ class TestFakeSupervisorUnits:
     def test_warm_lane_has_priority_over_cold_backlog(self):
         async def main():
             service, supervisor = fake_service(
-                ServiceConfig(max_batch=2, flush_deadline_ms=60000.0))
+                ServiceConfig(flush_deadline_ms=60000.0), max_batch=2)
             async with running(service) as port:
                 async with await AsyncServeClient.connect(port) as client:
                     # Teach the router that SPEC_A is warm.
@@ -246,7 +246,7 @@ class TestFakeSupervisorUnits:
     def test_deadline_auto_flushes_a_partial_batch(self):
         async def main():
             service, supervisor = fake_service(
-                ServiceConfig(max_batch=100, flush_deadline_ms=300.0))
+                ServiceConfig(flush_deadline_ms=300.0), max_batch=100)
             async with running(service) as port:
                 async with await AsyncServeClient.connect(port) as client:
                     await asyncio.wait_for(client.predict(spec=SPEC_A), 30)
@@ -266,7 +266,7 @@ class TestFakeSupervisorUnits:
     def test_flush_forces_buffered_batches_immediately(self):
         async def main():
             service, supervisor = fake_service(
-                ServiceConfig(max_batch=100, flush_deadline_ms=60000.0))
+                ServiceConfig(flush_deadline_ms=60000.0), max_batch=100)
             async with running(service) as port:
                 async with await AsyncServeClient.connect(port) as client:
                     await asyncio.wait_for(client.predict(spec=SPEC_A), 30)
@@ -310,7 +310,7 @@ class TestFakeSupervisorUnits:
     def test_shutdown_drains_queued_requests_and_rejects_new(self):
         async def main():
             service, supervisor = fake_service(
-                ServiceConfig(max_batch=100, flush_deadline_ms=60000.0))
+                ServiceConfig(flush_deadline_ms=60000.0), max_batch=100)
             async with running(service) as port:
                 client = await AsyncServeClient.connect(port)
                 admin = await AsyncServeClient.connect(port)
@@ -462,10 +462,9 @@ class TestEndToEnd:
         async def main():
             service = ServeService(
                 checkpoints[0],
-                serve=ServeConfig(pipeline=small_pipeline(),
+                serve=ServeConfig(pipeline=small_pipeline(), max_batch=100,
                                   cache_dir=str(tmp_path / "cache")),
-                config=ServiceConfig(workers=1, max_batch=100,
-                                     flush_deadline_ms=60000.0))
+                config=ServiceConfig(workers=1, flush_deadline_ms=60000.0))
             async with running(service) as port:
                 async with await AsyncServeClient.connect(port) as client:
                     before = await asyncio.wait_for(

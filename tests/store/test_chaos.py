@@ -35,7 +35,7 @@ pytestmark = pytest.mark.chaos
 
 
 def tiny_config(**overrides) -> PipelineConfig:
-    base = dict(scale=0.15, grid_nx=8, grid_ny=8, use_cache=True,
+    base = dict(scale=0.15, use_cache=True,
                 placement=PlacementConfig(outer_iterations=1),
                 router=RouterConfig(nx=8, ny=8, rrr_iterations=1))
     base.update(overrides)
@@ -61,7 +61,7 @@ from repro.pipeline import PipelineConfig, StageCache, prepare_designs
 from repro.placement import PlacementConfig
 from repro.routing import RouterConfig
 
-config = PipelineConfig(scale=0.15, grid_nx=8, grid_ny=8, use_cache=True,
+config = PipelineConfig(scale=0.15, use_cache=True,
                         placement=PlacementConfig(outer_iterations=1),
                         router=RouterConfig(nx=8, ny=8, rrr_iterations=1))
 designs = superblue_suite(scale=0.15)[:2]
@@ -80,7 +80,7 @@ from repro.pipeline import (PipelineConfig, STAGE_CALLS, StageCache,
 from repro.placement import PlacementConfig
 from repro.routing import RouterConfig
 
-config = PipelineConfig(scale=0.15, grid_nx=8, grid_ny=8, use_cache=True,
+config = PipelineConfig(scale=0.15, use_cache=True,
                         placement=PlacementConfig(outer_iterations=1),
                         router=RouterConfig(nx=8, ny=8, rrr_iterations=1))
 design = superblue_suite(scale=0.15)[0]
@@ -215,8 +215,8 @@ class TestCheckpointDurability:
         # The old checkpoint is bit-identical and still restorable...
         assert open(path, "rb").read() == before
         restored = MLPBaseline(hidden=8, rng=np.random.default_rng(5))
-        from repro.nn.serialize import load_checkpoint
-        load_checkpoint(restored, path)
+        from repro.nn.serialize import read_checkpoint
+        restored.load_state_dict(read_checkpoint(path)[1])
         # ...and the only debris is an orphaned tmp, reaped by the sweep.
         debris = [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
         assert len(debris) == 1

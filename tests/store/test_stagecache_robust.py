@@ -19,7 +19,7 @@ KEY = "cafef00d" * 4
 
 
 def tiny_config(**overrides) -> PipelineConfig:
-    base = dict(scale=0.15, grid_nx=8, grid_ny=8, use_cache=True,
+    base = dict(scale=0.15, use_cache=True,
                 placement=PlacementConfig(outer_iterations=1),
                 router=RouterConfig(nx=8, ny=8, rrr_iterations=1))
     base.update(overrides)
