@@ -23,6 +23,7 @@ PYTHONPATH=src python -m pytest benchmarks/test_service_load.py -q -m slow
 
 import asyncio
 import contextlib
+import multiprocessing
 import os
 import time
 
@@ -51,6 +52,37 @@ BENCH_REPORT = ("BENCH_serve.json",
                  "usable_cores": usable_cores(),
                  "pipeline": "8x8 G-cells, 2 placement iters, "
                              "2 RRR iters, 60 movable cells"})
+
+
+BURN_ITERATIONS = 6_000_000
+
+
+def _burn(barrier, results) -> None:
+    """A fixed pure-Python loop, timed from a start all processes share."""
+    barrier.wait()
+    start = time.perf_counter()
+    sum(i * i % 7 for i in range(BURN_ITERATIONS))
+    results.put((start, time.perf_counter()))
+
+
+def burn_rate(processes: int) -> float:
+    """Burns per second that ``processes`` spawn processes complete
+    together; start-up is outside the timed window."""
+    ctx = multiprocessing.get_context("spawn")
+    barrier, results = ctx.Barrier(processes), ctx.Queue()
+    procs = [ctx.Process(target=_burn, args=(barrier, results))
+             for _ in range(processes)]
+    for proc in procs:
+        proc.start()
+    try:
+        spans = [results.get(timeout=300) for _ in procs]
+    finally:
+        for proc in procs:
+            proc.join(timeout=60)
+            if proc.is_alive():
+                proc.terminate()
+    wall = max(end for _, end in spans) - min(start for start, _ in spans)
+    return processes / wall
 
 
 def small_pipeline():
@@ -146,6 +178,9 @@ def run_cold_load(checkpoint, workers: int, specs, cache_dir) -> dict:
 class TestColdScaling:
     def test_two_workers_scale_pipeline_bound_load(self, checkpoint,
                                                    tmp_path, bench_report):
+        # What two busy processes get from this host: a shared or
+        # throttled host caps the service's speedup below the gate.
+        host_speedup = burn_rate(2) / burn_rate(1)
         specs = cold_specs(8, "scale")
         # Fresh on-disk stage cache per run: both runs pay full cold
         # place-and-route, so the comparison is pipeline-bound.
@@ -153,17 +188,19 @@ class TestColdScaling:
         double = run_cold_load(checkpoint, 2, specs, tmp_path / "n2")
         speedup = double["requests_per_s"] / single["requests_per_s"]
         bench_report.entries["cold_burst_1worker"] = single
-        bench_report.entries["cold_burst_2workers"] = {**double,
-                                                       "speedup": speedup}
+        bench_report.entries["cold_burst_2workers"] = {
+            **double, "speedup": speedup, "host_burn_speedup": host_speedup}
         assert single["requests_per_s"] > 0
         if usable_cores() >= 2:
             assert speedup >= 1.7, (
                 f"2 workers reached only {speedup:.2f}x the 1-worker "
-                f"requests/s on pipeline-bound load")
+                f"requests/s on pipeline-bound load; a pure-Python burn "
+                f"on 2 processes reached {host_speedup:.2f}x on this host")
         else:
             pytest.skip(f"scaling gate needs >= 2 usable cores "
                         f"(have {usable_cores()}); recorded "
-                        f"speedup={speedup:.2f} in BENCH_serve.json")
+                        f"speedup={speedup:.2f} and host burn speedup="
+                        f"{host_speedup:.2f} in BENCH_serve.json")
 
 
 class TestWarmLatencyUnderColdBacklog:

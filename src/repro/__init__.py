@@ -10,7 +10,7 @@ experimental stack:
 * :mod:`repro.routing` — global router (NCTU-GR stand-in) and label maps,
 * :mod:`repro.features` — crafted feature generators,
 * :mod:`repro.graph` — the LH-graph formulation,
-* :mod:`repro.models` — LHNN, MLP, U-Net and Pix2Pix,
+* :mod:`repro.models` — LHNN, MLP, GridSAGE, U-Net and Pix2Pix,
 * :mod:`repro.data` / :mod:`repro.train` — dataset, splits, training,
 * :mod:`repro.pipeline` — netlist → placement → routing → LH-graph,
 * :mod:`repro.eval` — paper tables and Figure-4 visualisation,
@@ -18,7 +18,15 @@ experimental stack:
   writer and validator of the tracked ``BENCH_*.json`` bench reports,
 * :mod:`repro.api` — the declarative experiment layer: one
   :class:`~repro.api.ExperimentSpec` drives every model family,
-  workload and entry point.
+  workload and entry point,
+* :mod:`repro.sweep` — sweeps over the spec grid, each point run once
+  across processes and crashes, joined into one leaderboard,
+* :mod:`repro.serve` — batched congestion inference from a checkpoint,
+  in process or as a JSON-lines service with worker processes,
+* :mod:`repro.store` — the durable artifact store: atomic writes,
+  checksummed blobs and leases under caches, checkpoints and manifests,
+* :mod:`repro.testing` — the fault-injection harness of the
+  reliability tests.
 
 Quickstart::
 

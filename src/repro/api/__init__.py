@@ -24,20 +24,17 @@ subcommands are thin shells over this module; see
 ``docs/experiment_api.md`` for the full spec schema and manifest format.
 """
 
-from .experiment import (RESULT_SCHEMA, ExperimentResult,
-                         find_result_manifest, load_dataset,
+from .experiment import (ExperimentResult, find_result_manifest, load_dataset,
                          run_experiment, validate_result_manifest)
-from .spec import (ComputeSpec, ExperimentSpec, ModelSpec, OutputSpec,
-                   SpecError, TrainSpec, WorkloadSpec, apply_overrides,
-                   dumps_spec, load_spec, spec_fingerprint, spec_from_dict,
-                   spec_to_dict)
+from .spec import (ExperimentSpec, ModelSpec, OutputSpec, SpecError, TrainSpec,
+                   WorkloadSpec, apply_overrides, dumps_spec, load_spec,
+                   spec_fingerprint, spec_from_dict, spec_to_dict)
 
 __all__ = [
     "ExperimentSpec", "WorkloadSpec", "ModelSpec", "TrainSpec",
-    "ComputeSpec", "OutputSpec", "SpecError",
+    "OutputSpec", "SpecError",
     "load_spec", "spec_from_dict", "spec_to_dict", "dumps_spec",
     "apply_overrides", "spec_fingerprint",
     "run_experiment", "ExperimentResult", "load_dataset",
-    "RESULT_SCHEMA", "validate_result_manifest",
-    "find_result_manifest",
+    "validate_result_manifest", "find_result_manifest",
 ]

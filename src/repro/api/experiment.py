@@ -30,11 +30,10 @@ from dataclasses import dataclass, replace
 
 from ..data.dataset import CongestionDataset
 from ..nn.layers import Module
-from .spec import (ExperimentSpec, SpecError, spec_fingerprint, spec_to_dict)
+from .spec import ExperimentSpec, SpecError, spec_fingerprint, spec_to_dict
 
 __all__ = ["ExperimentResult", "run_experiment", "load_dataset",
-           "RESULT_SCHEMA", "validate_result_manifest",
-           "find_result_manifest"]
+           "validate_result_manifest", "find_result_manifest"]
 
 #: Schema tag of the result-manifest JSON written per experiment.
 RESULT_SCHEMA = "repro-experiment-v1"

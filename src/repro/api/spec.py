@@ -54,10 +54,9 @@ from dataclasses import dataclass, field, fields
 from ..pipeline.config import fingerprint_of
 from ..train.config import TrainConfig
 
-__all__ = ["SpecError", "WorkloadSpec", "ModelSpec", "TrainSpec",
-           "ComputeSpec", "OutputSpec", "ExperimentSpec",
-           "spec_to_dict", "spec_from_dict", "load_spec", "dumps_spec",
-           "apply_overrides", "spec_fingerprint"]
+__all__ = ["SpecError", "WorkloadSpec", "ModelSpec", "TrainSpec", "OutputSpec",
+           "ExperimentSpec", "spec_to_dict", "spec_from_dict", "load_spec",
+           "dumps_spec", "apply_overrides", "spec_fingerprint"]
 
 
 class SpecError(ValueError):

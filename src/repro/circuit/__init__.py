@@ -6,12 +6,12 @@ the synthetic superblue-like benchmark generator used when the real contest
 data is unavailable.
 """
 
-from .design import Design, DesignStats, validate_design
-from .bookshelf import BookshelfError, read_aux, read_design, write_design
-from .generator import DesignSpec, generate_design, superblue_suite, SUPERBLUE_IDS
+from .design import Design, validate_design
+from .bookshelf import BookshelfError, read_design, write_design
+from .generator import DesignSpec, generate_design, superblue_suite
 
 __all__ = [
-    "Design", "DesignStats", "validate_design",
-    "BookshelfError", "read_aux", "read_design", "write_design",
-    "DesignSpec", "generate_design", "superblue_suite", "SUPERBLUE_IDS",
+    "Design", "validate_design",
+    "BookshelfError", "read_design", "write_design",
+    "DesignSpec", "generate_design", "superblue_suite",
 ]

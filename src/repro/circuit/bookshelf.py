@@ -19,9 +19,9 @@ import os
 
 import numpy as np
 
-from .design import Design
+from .design import Design, validate_design
 
-__all__ = ["BookshelfError", "read_aux", "read_design", "write_design"]
+__all__ = ["BookshelfError", "read_design", "write_design"]
 
 
 class BookshelfError(ValueError):
@@ -186,7 +186,11 @@ def _read_scl(path: str) -> tuple[float, tuple[float, float, float, float]]:
 
 
 def read_design(aux_path: str, name: str | None = None) -> Design:
-    """Read a full Bookshelf design from its ``.aux`` file."""
+    """Read a full Bookshelf design from its ``.aux`` file.
+
+    Raises :class:`BookshelfError` when the files parse but describe an
+    inconsistent design (see :func:`~repro.circuit.design.validate_design`).
+    """
     files = read_aux(aux_path)
     cell_names, cell_w, cell_h, fixed = _read_nodes(files["nodes"])
     index = {n: i for i, n in enumerate(cell_names)}
@@ -203,7 +207,7 @@ def read_design(aux_path: str, name: str | None = None) -> Design:
         row_height = float(cell_h[~fixed].min()) if (~fixed).any() else 1.0
         die = (float(x.min()), float(y.min()),
                float((x + cell_w).max()), float((y + cell_h).max()))
-    return Design(
+    design = Design(
         name=name or os.path.splitext(os.path.basename(aux_path))[0],
         cell_names=cell_names, cell_w=cell_w, cell_h=cell_h,
         cell_fixed=fixed, cell_x=x, cell_y=y,
@@ -211,6 +215,10 @@ def read_design(aux_path: str, name: str | None = None) -> Design:
         pin_cell=pin_cell, pin_dx=pin_dx, pin_dy=pin_dy,
         die=die, row_height=row_height,
     )
+    problems = validate_design(design)
+    if problems:
+        raise BookshelfError(f"{aux_path}: {'; '.join(problems)}")
+    return design
 
 
 def write_design(design: Design, directory: str, basename: str | None = None) -> str:

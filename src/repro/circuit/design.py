@@ -17,33 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Design", "DesignStats", "validate_design"]
-
-
-@dataclass
-class DesignStats:
-    """Summary statistics of a design (rows of the paper's Table 1)."""
-
-    name: str
-    num_cells: int
-    num_movable: int
-    num_terminals: int
-    num_nets: int
-    num_pins: int
-    avg_net_degree: float
-    die_area: tuple[float, float, float, float]
-
-    def as_row(self) -> dict:
-        """Dictionary suitable for table formatting."""
-        return {
-            "design": self.name,
-            "#cells": self.num_cells,
-            "#movable": self.num_movable,
-            "#terminals": self.num_terminals,
-            "#nets": self.num_nets,
-            "#pins": self.num_pins,
-            "avg_degree": round(self.avg_net_degree, 3),
-        }
+__all__ = ["Design", "validate_design"]
 
 
 @dataclass
@@ -165,20 +139,6 @@ class Design:
         use = deg >= 2
         return float(((boxes[use, 2] - boxes[use, 0])
                       + (boxes[use, 3] - boxes[use, 1])).sum())
-
-    def stats(self) -> DesignStats:
-        """Compute :class:`DesignStats` for reporting."""
-        deg = self.net_degree()
-        return DesignStats(
-            name=self.name,
-            num_cells=self.num_cells,
-            num_movable=self.num_movable,
-            num_terminals=self.num_terminals,
-            num_nets=self.num_nets,
-            num_pins=self.num_pins,
-            avg_net_degree=float(deg.mean()) if len(deg) else 0.0,
-            die_area=self.die,
-        )
 
     def copy(self) -> "Design":
         """Deep copy (arrays copied; names shared since immutable)."""

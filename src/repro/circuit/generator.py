@@ -30,7 +30,7 @@ import numpy as np
 from .design import Design
 
 __all__ = ["DesignSpec", "generate_design", "superblue_suite",
-           "macro_heavy_suite", "hotspot_suite", "SUPERBLUE_IDS"]
+           "macro_heavy_suite", "hotspot_suite"]
 
 # The 15 design ids used in the paper (Table 1): 10 train + 5 test.
 SUPERBLUE_IDS = (1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 14, 16, 18, 19)

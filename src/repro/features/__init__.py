@@ -5,12 +5,8 @@ consume (net density, pin density, RUDY, terminal mask) and the G-net
 feature table (span_v, span_h, npin, area) that seeds the LH-graph.
 """
 
-from .gnet import GNetData, compute_gnets, GNET_FEATURE_NAMES
-from .gcell import (net_density_maps, pin_density_map, terminal_mask,
-                    rudy_map, gcell_feature_stack, GCELL_FEATURE_NAMES)
+from .gnet import GNetData, compute_gnets
+from .gcell import net_density_maps, rudy_map, gcell_feature_stack
 
-__all__ = [
-    "GNetData", "compute_gnets", "GNET_FEATURE_NAMES",
-    "net_density_maps", "pin_density_map", "terminal_mask", "rudy_map",
-    "gcell_feature_stack", "GCELL_FEATURE_NAMES",
-]
+__all__ = ["GNetData", "compute_gnets", "net_density_maps", "rudy_map",
+           "gcell_feature_stack"]

@@ -32,8 +32,7 @@ from ..circuit.design import Design
 from ..routing.grid import RoutingGrid
 from .gnet import GNetData
 
-__all__ = ["net_density_maps", "pin_density_map", "terminal_mask",
-           "rudy_map", "gcell_feature_stack", "GCELL_FEATURE_NAMES"]
+__all__ = ["net_density_maps", "rudy_map", "gcell_feature_stack"]
 
 GCELL_FEATURE_NAMES = ("net_density_h", "net_density_v",
                        "pin_density", "terminal_mask")

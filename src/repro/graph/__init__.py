@@ -7,12 +7,12 @@ batching.
 
 from .lhgraph import (LHGraph, build_lattice_adjacency,
                       build_hypergraph_incidence, build_lhgraph)
-from .sampling import sample_neighbors, sampled_operators
+from .sampling import sampled_operators
 from .batch import batch_graphs, unbatch_values, plan_batches
 
 __all__ = [
     "LHGraph", "build_lattice_adjacency", "build_hypergraph_incidence",
     "build_lhgraph",
-    "sample_neighbors", "sampled_operators",
+    "sampled_operators",
     "batch_graphs", "unbatch_values", "plan_batches",
 ]

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from ..nn.sparse import SparseMatrix
 
-__all__ = ["sample_neighbors", "sampled_operators"]
+__all__ = ["sampled_operators"]
 
 
 def sample_neighbors(operator: SparseMatrix, fanout: int,

@@ -10,17 +10,13 @@ paper §2.2).
 """
 
 from .blocks import FeatureGenBlock, HyperMPBlock, LatticeMPBlock
-from .lhnn import LHNN, LHNNConfig, LHNNOutput
+from .lhnn import LHNN, LHNNConfig
 from .mlp_baseline import MLPBaseline
-from .unet import UNet, DoubleConv
-from .pix2pix import Pix2Pix, PatchDiscriminator
-from .related import GridSAGE, SAGELayer
+from .unet import UNet
+from .pix2pix import Pix2Pix
+from .related import GridSAGE
 
 __all__ = [
     "FeatureGenBlock", "HyperMPBlock", "LatticeMPBlock",
-    "LHNN", "LHNNConfig", "LHNNOutput",
-    "MLPBaseline",
-    "UNet", "DoubleConv",
-    "Pix2Pix", "PatchDiscriminator",
-    "GridSAGE", "SAGELayer",
+    "LHNN", "LHNNConfig", "MLPBaseline", "UNet", "Pix2Pix", "GridSAGE",
 ]

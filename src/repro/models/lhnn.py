@@ -33,7 +33,7 @@ from ..nn.layers import Linear, Module
 from ..nn.tensor import Tensor
 from .blocks import FeatureGenBlock, HyperMPBlock, LatticeMPBlock
 
-__all__ = ["LHNNConfig", "LHNNOutput", "LHNN"]
+__all__ = ["LHNNConfig", "LHNN"]
 
 
 @dataclass

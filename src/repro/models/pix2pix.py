@@ -19,7 +19,7 @@ from ..nn.layers import Module
 from ..nn.tensor import Tensor
 from .unet import UNet
 
-__all__ = ["PatchDiscriminator", "Pix2Pix"]
+__all__ = ["Pix2Pix"]
 
 
 class PatchDiscriminator(Module):

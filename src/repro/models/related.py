@@ -20,28 +20,23 @@ from ..nn.layers import Linear, Module
 from ..nn.sparse import SparseMatrix, spmm
 from ..nn.tensor import Tensor
 
-__all__ = ["GridSAGE", "SAGELayer"]
+__all__ = ["GridSAGE"]
 
 
 class SAGELayer(Module):
     """GraphSAGE layer with mean aggregation.
 
-    ``h' = act( W_self h + W_neigh (Ā h) )`` where ``Ā`` is the
+    ``h' = relu( W_self h + W_neigh (Ā h) )`` where ``Ā`` is the
     row-normalised adjacency.
     """
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 activation: str = "relu"):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         super().__init__()
         self.w_self = Linear(in_dim, out_dim, rng)
         self.w_neigh = Linear(in_dim, out_dim, rng, bias=False)
-        self.activation = activation
 
     def forward(self, x: Tensor, adjacency: SparseMatrix) -> Tensor:
-        out = self.w_self(x) + self.w_neigh(spmm(adjacency, x))
-        if self.activation == "relu":
-            out = F.relu(out)
-        return out
+        return F.relu(self.w_self(x) + self.w_neigh(spmm(adjacency, x)))
 
 
 class GridSAGE(Module):

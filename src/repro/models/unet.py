@@ -16,7 +16,7 @@ from ..nn.conv import BatchNorm2d, Conv2d, ConvTranspose2d, MaxPool2d
 from ..nn.layers import Module
 from ..nn.tensor import Tensor
 
-__all__ = ["DoubleConv", "UNet"]
+__all__ = ["UNet"]
 
 
 class DoubleConv(Module):

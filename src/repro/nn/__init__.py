@@ -8,26 +8,24 @@ in :mod:`repro.models` (LHNN, MLP, GridSAGE, U-Net, Pix2Pix) is built
 exclusively from these pieces.
 """
 
-from .tensor import (Tensor, as_tensor, no_grad, is_grad_enabled,
-                     set_default_dtype, get_default_dtype, DtypeConfig)
+from .tensor import (Tensor, as_tensor, no_grad, set_default_dtype,
+                     get_default_dtype, DtypeConfig)
 from . import functional
-from .layers import (Parameter, Module, Linear, Identity, Activation,
-                     MLP, ResidualMLP)
+from .layers import Parameter, Module, Linear, ResidualMLP
 from .conv import Conv2d, ConvTranspose2d, MaxPool2d, BatchNorm2d
 from .sparse import SparseMatrix, spmm, row_normalize, block_diag
-from .optim import Adam, clip_grad_norm, StepLR, two_phase_lr
-from .losses import MSELoss, GammaWeightedBCE, JointLoss, GANLoss
+from .optim import Adam, clip_grad_norm, two_phase_lr
+from .losses import GammaWeightedBCE, JointLoss, GANLoss
 from .serialize import save_checkpoint, read_checkpoint, CheckpointError
 
 __all__ = [
-    "Tensor", "as_tensor", "no_grad", "is_grad_enabled", "functional",
+    "Tensor", "as_tensor", "no_grad", "functional",
     "set_default_dtype", "get_default_dtype", "DtypeConfig",
-    "Parameter", "Module", "Linear", "Identity", "Activation",
-    "MLP", "ResidualMLP",
+    "Parameter", "Module", "Linear", "ResidualMLP",
     "Conv2d", "ConvTranspose2d", "MaxPool2d", "BatchNorm2d",
     "SparseMatrix", "spmm", "row_normalize", "block_diag",
-    "Adam", "clip_grad_norm", "StepLR", "two_phase_lr",
-    "MSELoss", "GammaWeightedBCE", "JointLoss", "GANLoss",
+    "Adam", "clip_grad_norm", "two_phase_lr",
+    "GammaWeightedBCE", "JointLoss", "GANLoss",
     "save_checkpoint", "read_checkpoint",
     "CheckpointError",
 ]

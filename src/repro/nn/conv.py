@@ -46,8 +46,7 @@ from . import init as init_mod
 from .layers import Module, Parameter
 from .tensor import Tensor, as_tensor, get_default_dtype
 
-__all__ = ["im2col", "col2im", "Conv2d", "ConvTranspose2d", "MaxPool2d",
-           "BatchNorm2d", "conv_output_size"]
+__all__ = ["Conv2d", "ConvTranspose2d", "MaxPool2d", "BatchNorm2d"]
 
 
 def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .tensor import Tensor, as_tensor
 
-__all__ = ["relu", "leaky_relu", "sigmoid", "tanh", "concat"]
+__all__ = ["relu", "leaky_relu", "sigmoid", "concat"]
 
 
 def relu(x: Tensor) -> Tensor:
@@ -27,11 +27,6 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic sigmoid."""
     return as_tensor(x).sigmoid()
-
-
-def tanh(x: Tensor) -> Tensor:
-    """Hyperbolic tangent."""
-    return as_tensor(x).tanh()
 
 
 def concat(tensors, axis: int = -1) -> Tensor:

@@ -3,12 +3,12 @@
 The :class:`Module` base class provides parameter registration, train/eval
 mode switching and state-dict (de)serialisation.  The concrete layers here
 cover everything the paper's architecture diagram (Figure 3) uses: linear
-layers ("Lin"), MLPs and residual MLP blocks ("Res").
+layers ("Lin") and residual MLP blocks ("Res").
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -16,8 +16,7 @@ from . import functional as F
 from . import init as init_mod
 from .tensor import Tensor
 
-__all__ = ["Parameter", "Module", "Linear", "Identity", "Activation",
-           "MLP", "ResidualMLP"]
+__all__ = ["Parameter", "Module", "Linear", "ResidualMLP"]
 
 
 class Parameter(Tensor):
@@ -165,32 +164,6 @@ class Identity(Module):
         return x
 
 
-class Activation(Module):
-    """Wraps a named activation function as a module.
-
-    Supported names: ``relu``, ``leaky_relu``, ``sigmoid``, ``tanh``,
-    ``identity``.
-    """
-
-    _FUNCS: dict[str, Callable[[Tensor], Tensor]] = {
-        "relu": F.relu,
-        "leaky_relu": F.leaky_relu,
-        "sigmoid": F.sigmoid,
-        "tanh": F.tanh,
-        "identity": lambda x: x,
-    }
-
-    def __init__(self, name: str = "relu"):
-        super().__init__()
-        if name not in self._FUNCS:
-            raise ValueError(f"unknown activation {name!r}; "
-                             f"choose from {sorted(self._FUNCS)}")
-        self.name = name
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self._FUNCS[self.name](x)
-
-
 class Linear(Module):
     """Affine layer ``y = x W + b`` (the paper's "Lin" box).
 
@@ -212,52 +185,19 @@ class Linear(Module):
         return out
 
 
-class MLP(Module):
-    """Multilayer perceptron with a hidden activation after every layer
-    except (optionally) the last.
-
-    Parameters
-    ----------
-    dims:
-        Layer widths ``[in, h1, ..., out]``; must have length >= 2.
-    activation:
-        Name of the hidden activation.
-    final_activation:
-        If True, also apply the activation after the last layer.
-    """
-
-    def __init__(self, dims: list[int], rng: np.random.Generator,
-                 activation: str = "relu", final_activation: bool = False):
-        super().__init__()
-        if len(dims) < 2:
-            raise ValueError("MLP needs at least input and output widths")
-        self.linears = [Linear(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
-        self.act = Activation(activation)
-        self.final_activation = final_activation
-
-    def forward(self, x: Tensor) -> Tensor:
-        last = len(self.linears) - 1
-        for i, lin in enumerate(self.linears):
-            x = lin(x)
-            if i != last or self.final_activation:
-                x = self.act(x)
-        return x
-
-
 class ResidualMLP(Module):
     """Two-layer MLP with a skip connection (the paper's "Res" block).
 
-    ``y = act(x W1 + b1) W2 + b2 + proj(x)`` where ``proj`` is identity when
+    ``y = relu(x W1 + b1) W2 + b2 + proj(x)`` where ``proj`` is identity when
     the widths already match and a linear projection otherwise.
     """
 
     def __init__(self, in_dim: int, hidden_dim: int, out_dim: int,
-                 rng: np.random.Generator, activation: str = "relu"):
+                 rng: np.random.Generator):
         super().__init__()
         self.fc1 = Linear(in_dim, hidden_dim, rng)
         self.fc2 = Linear(hidden_dim, out_dim, rng)
-        self.act = Activation(activation)
         self.proj = Identity() if in_dim == out_dim else Linear(in_dim, out_dim, rng, bias=False)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.fc2(self.act(self.fc1(x))) + self.proj(x)
+        return self.fc2(F.relu(self.fc1(x))) + self.proj(x)

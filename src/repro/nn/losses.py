@@ -25,7 +25,7 @@ import numpy as np
 from .layers import Module
 from .tensor import Tensor, as_tensor
 
-__all__ = ["MSELoss", "GammaWeightedBCE", "JointLoss", "GANLoss"]
+__all__ = ["GammaWeightedBCE", "JointLoss", "GANLoss"]
 
 
 class MSELoss(Module):

@@ -24,7 +24,7 @@ import numpy as np
 from ..perf import PERF
 from .layers import Parameter
 
-__all__ = ["Optimizer", "Adam", "clip_grad_norm", "StepLR", "two_phase_lr"]
+__all__ = ["Adam", "clip_grad_norm", "two_phase_lr"]
 
 
 class Optimizer:

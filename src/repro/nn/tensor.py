@@ -33,8 +33,8 @@ import numpy as np
 
 from ..perf import PERF
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "unbroadcast", "as_tensor",
-           "set_default_dtype", "get_default_dtype", "DtypeConfig"]
+__all__ = ["Tensor", "no_grad", "as_tensor", "set_default_dtype",
+           "get_default_dtype", "DtypeConfig"]
 
 
 _GRAD_ENABLED = True
@@ -109,11 +109,6 @@ class no_grad:
     def __exit__(self, *exc) -> None:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
-
-
-def is_grad_enabled() -> bool:
-    """Return whether operations are currently recorded for autograd."""
-    return _GRAD_ENABLED
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -24,12 +24,9 @@ by :mod:`repro.perf.report`.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
-__all__ = ["PerfRegistry", "PERF", "enable", "disable", "reset",
-           "perf_report", "op_timer"]
+__all__ = ["PERF", "enable", "disable", "perf_report"]
 
 
 @dataclass
@@ -102,28 +99,6 @@ def disable() -> None:
     PERF.enabled = False
 
 
-def reset() -> None:
-    """Clear accumulated statistics."""
-    PERF.reset()
-
-
 def perf_report() -> dict:
     """The current registry snapshot (see :meth:`PerfRegistry.report`)."""
     return PERF.report()
-
-
-@contextmanager
-def op_timer(name: str, nbytes: int = 0):
-    """Record the wrapped block as one invocation of op ``name``.
-
-    A no-op (beyond one flag check) when capture is disabled, so it is
-    safe to leave in library code outside the hottest loops.
-    """
-    if not PERF.enabled:
-        yield
-        return
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        PERF.record(name, time.perf_counter() - t0, nbytes)

@@ -31,8 +31,8 @@ from typing import Mapping
 
 from ..store import atomic_write_bytes
 
-__all__ = ["BENCH_SCHEMA", "speedup_entry", "write_bench_report",
-           "load_bench_report", "REPORT_ENV", "report_requested"]
+__all__ = ["speedup_entry", "write_bench_report", "load_bench_report",
+           "report_requested"]
 
 #: Schema tag of the report format; bump when the layout changes.
 BENCH_SCHEMA = "repro-bench-v1"

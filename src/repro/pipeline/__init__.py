@@ -32,20 +32,16 @@ from .cache import (ManifestEntry, ManifestGraphs, StageCache, SuiteManifest,
 from .config import SCHEMA_VERSION, PipelineConfig, fingerprint_of
 from .runner import (prepare_design, prepare_designs, prepare_workload,
                      stage_keys_for)
-from .stages import (PlacementProduct, RoutingProduct, STAGE_CALLS,
-                     reset_stage_calls)
-from .workloads import (Workload, get_workload, list_workloads,
-                        load_workload, register_workload)
+from .stages import STAGE_CALLS, reset_stage_calls
+from .workloads import get_workload, list_workloads, load_workload
 
 __all__ = [
     "PipelineConfig", "prepare_design", "default_cache_dir",
     "SCHEMA_VERSION", "fingerprint_of", "design_fingerprint",
     "StageCache", "SuiteManifest", "ManifestEntry", "ManifestGraphs",
-    "PlacementProduct", "RoutingProduct", "STAGE_CALLS", "reset_stage_calls",
-    "stage_keys_for",
+    "STAGE_CALLS", "reset_stage_calls", "stage_keys_for",
     "prepare_designs", "prepare_workload",
     # workload registry
-    "Workload", "register_workload", "get_workload", "list_workloads",
-    "load_workload",
+    "get_workload", "list_workloads", "load_workload",
     "superblue_suite",
 ]

@@ -29,10 +29,9 @@ from ..routing.grid import RoutingGrid
 from ..routing.router import GlobalRouter
 from .config import PipelineConfig, fingerprint_of
 
-__all__ = ["STAGE_CALLS", "reset_stage_calls",
-           "PlacementProduct", "RoutingProduct",
-           "run_place_stage", "run_route_stage", "run_graph_stage",
-           "PLACE_STAGE", "ROUTE_STAGE", "GRAPH_STAGE", "StageSpec"]
+__all__ = ["STAGE_CALLS", "reset_stage_calls", "run_place_stage",
+           "run_route_stage", "run_graph_stage", "PLACE_STAGE", "ROUTE_STAGE",
+           "GRAPH_STAGE"]
 
 #: Number of times each stage actually executed (cache hits don't count).
 STAGE_CALLS: Counter = Counter()

@@ -29,8 +29,7 @@ from ..circuit.design import Design
 from ..circuit.generator import hotspot_suite, macro_heavy_suite
 from .config import PipelineConfig
 
-__all__ = ["Workload", "register_workload", "get_workload",
-           "list_workloads", "load_workload"]
+__all__ = ["get_workload", "list_workloads", "load_workload"]
 
 
 @dataclass(frozen=True)

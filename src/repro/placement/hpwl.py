@@ -13,7 +13,7 @@ import numpy as np
 from ..circuit.design import Design
 from .spreading import _bin_overlap_area
 
-__all__ = ["hpwl", "per_net_hpwl", "density_map"]
+__all__ = ["hpwl", "density_map"]
 
 
 def per_net_hpwl(design: Design) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..circuit.design import Design
 
-__all__ = ["legalize", "overlap_count", "row_segments"]
+__all__ = ["legalize", "overlap_count"]
 
 
 def row_segments(design: Design) -> list[list[tuple[float, float]]]:

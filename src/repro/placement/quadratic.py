@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 
 from ..circuit.design import Design
 
-__all__ = ["QuadraticPlacer", "solve_quadratic"]
+__all__ = ["QuadraticPlacer"]
 
 
 def _ordered_sum(index, weights, n: int) -> np.ndarray:
@@ -252,13 +252,3 @@ class QuadraticPlacer:
         w = design.cell_w[self._movable]
         h = design.cell_h[self._movable]
         return (np.clip(lo_x, xl, xh - w), np.clip(lo_y, yl, yh - h))
-
-
-def solve_quadratic(design: Design) -> Design:
-    """Convenience wrapper: quadratic-place ``design`` in place and return it."""
-    placer = QuadraticPlacer(design)
-    x, y = placer.solve()
-    movable = ~design.cell_fixed
-    design.cell_x[movable] = x
-    design.cell_y[movable] = y
-    return design

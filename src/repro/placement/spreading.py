@@ -29,7 +29,7 @@ import numpy as np
 
 from ..circuit.design import Design
 
-__all__ = ["SpreadingConfig", "compute_bin_density", "spread_step", "spread"]
+__all__ = ["compute_bin_density", "spread"]
 
 
 class SpreadingConfig:

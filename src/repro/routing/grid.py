@@ -33,7 +33,7 @@ import numpy as np
 
 from ..circuit.design import Design
 
-__all__ = ["RoutingGrid", "path_edges", "path_cells", "flatten", "unflatten"]
+__all__ = ["RoutingGrid", "path_edges", "path_cells", "flatten"]
 
 
 def path_edges(path: list[tuple[int, int]], nx: int, ny: int) -> list[int]:

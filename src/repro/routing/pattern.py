@@ -20,8 +20,7 @@ from operator import add
 
 import numpy as np
 
-__all__ = ["l_paths", "z_paths", "path_cost", "best_pattern_path",
-           "straight_path"]
+__all__ = ["best_pattern_path"]
 
 
 def _run(a: tuple[int, int], b: tuple[int, int], nx: int, ny: int) -> range:

@@ -3,15 +3,15 @@
 Global routers first break each multi-pin net into two-pin segments along
 an approximate rectilinear Steiner topology; each segment is then routed
 independently.  We use Prim's algorithm under the L1 metric (an RSMT
-approximation within 1.5× of optimal) with optional Hanan-style midpoint
-Steiner nodes for three-pin groups.
+approximation within 1.5× of optimal) over the terminals alone; no
+Steiner points are added.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["decompose_net", "mst_edges"]
+__all__ = ["decompose_net"]
 
 
 def mst_edges(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -19,7 +19,34 @@ def mst_edges(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
     Returns index pairs (i, j) into ``points``; O(n²) which is fine for the
     bounded net degrees the LH-graph keeps (large nets are filtered).
+    Plain Python: nets have a handful of terminals, where numpy's per-call
+    overhead dominates.  Ties go to the lowest index and a vertex changes
+    parent only on a strictly shorter edge, exactly as in
+    :func:`_mst_edges_reference`.
     """
+    if len(points) <= 1:
+        return []
+    x0, y0 = points[0]
+    dist = [abs(x - x0) + abs(y - y0) for x, y in points]
+    parent = [0] * len(points)
+    remaining = list(range(1, len(points)))
+    edges: list[tuple[int, int]] = []
+    while remaining:
+        nxt = min(remaining, key=dist.__getitem__)
+        remaining.remove(nxt)
+        edges.append((parent[nxt], nxt))
+        x0, y0 = points[nxt]
+        for i in remaining:
+            d = abs(points[i][0] - x0) + abs(points[i][1] - y0)
+            if d < dist[i]:
+                dist[i] = d
+                parent[i] = nxt
+    return edges
+
+
+def _mst_edges_reference(points: list[tuple[int, int]]
+                         ) -> list[tuple[int, int]]:
+    """The numpy Prim that :func:`mst_edges` must match edge for edge."""
     n = len(points)
     if n <= 1:
         return []

@@ -28,15 +28,12 @@ Python::
 
 from .cache import SampleCache
 from .client import AsyncServeClient, ServeClient, ServeError
-from .engine import (InferenceEngine, PredictRequest, PredictResult,
-                     ServeConfig)
-from .registry import (ModelFamily, attach_runtime, build_model, family_of,
-                       get_family, get_runtime, list_families, model_spec,
-                       output_channels, register_family, restore_model,
+from .engine import InferenceEngine, PredictRequest, PredictResult, ServeConfig
+from .registry import (attach_runtime, family_of, get_family, get_runtime,
+                       list_families, output_channels, restore_model,
                        save_model)
-from .router import Route, Router, routing_key
-from .server import (PROTOCOL_VERSION, DesignResolver,
-                     protocol_version_error, server_identity)
+from .router import Router
+from .server import DesignResolver, protocol_version_error, server_identity
 from .service import ServeService, ServiceConfig
 from .supervisor import Supervisor, WorkerCrashed, WorkerError, WorkerSpec
 
@@ -44,12 +41,10 @@ __all__ = [
     "SampleCache",
     "AsyncServeClient", "ServeClient", "ServeError",
     "InferenceEngine", "PredictRequest", "PredictResult", "ServeConfig",
-    "ModelFamily", "attach_runtime", "build_model", "family_of",
-    "get_family", "get_runtime", "list_families", "model_spec",
-    "output_channels", "register_family", "restore_model", "save_model",
-    "DesignResolver", "PROTOCOL_VERSION", "protocol_version_error",
-    "server_identity",
-    "Route", "Router", "routing_key",
+    "attach_runtime", "family_of", "get_family", "get_runtime",
+    "list_families", "output_channels", "restore_model", "save_model",
+    "DesignResolver", "protocol_version_error", "server_identity",
+    "Router",
     "ServeService", "ServiceConfig",
     "Supervisor", "WorkerCrashed", "WorkerError", "WorkerSpec",
 ]

@@ -42,9 +42,8 @@ from ..nn.layers import Module
 from ..nn.serialize import CheckpointError, read_checkpoint, save_checkpoint
 from ..store import quarantine_file
 
-__all__ = ["ModelFamily", "register_family", "attach_runtime", "get_family",
-           "get_runtime", "family_of", "list_families", "model_spec",
-           "build_model", "output_channels", "model_dtype", "save_model",
+__all__ = ["attach_runtime", "get_family", "get_runtime", "family_of",
+           "list_families", "output_channels", "model_dtype", "save_model",
            "restore_model"]
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-__all__ = ["Route", "Router", "routing_key"]
+__all__ = ["Router"]
 
 
 def routing_key(payload: dict) -> str:

@@ -22,8 +22,8 @@ from ..circuit.generator import DesignSpec, generate_design
 from ..pipeline import PipelineConfig
 from ..pipeline.workloads import load_workload
 
-__all__ = ["DesignResolver", "MAX_LINE_BYTES", "PROTOCOL_VERSION",
-           "protocol_version_error", "server_identity"]
+__all__ = ["DesignResolver", "MAX_LINE_BYTES", "protocol_version_error",
+           "server_identity"]
 
 #: Version of the JSON-lines protocol this server speaks.  Bumped when
 #: ops or reply shapes change incompatibly: v1 was the single-engine

@@ -23,13 +23,12 @@ Failure semantics and the fault-injection harness that proves them are
 documented in ``docs/reliability.md``.
 """
 
-from .blobs import (BLOB_MAGIC, FOOTER_BYTES, BlobCorruptError, BlobStore,
-                    RetryPolicy, StoreDegradedWarning, atomic_write_bytes,
-                    frame_blob, quarantine_file, read_bytes, sweep,
-                    unframe_blob)
+from .blobs import (FOOTER_BYTES, BlobCorruptError, BlobStore,
+                    StoreDegradedWarning, atomic_write_bytes, frame_blob,
+                    quarantine_file, read_bytes, sweep, unframe_blob)
 from .leases import Lease, NullLease, lease_is_stale
 
-__all__ = ["BLOB_MAGIC", "FOOTER_BYTES", "BlobCorruptError", "BlobStore",
-           "Lease", "NullLease", "RetryPolicy", "StoreDegradedWarning",
-           "atomic_write_bytes", "frame_blob", "lease_is_stale",
-           "quarantine_file", "read_bytes", "sweep", "unframe_blob"]
+__all__ = ["FOOTER_BYTES", "BlobCorruptError", "BlobStore", "Lease",
+           "NullLease", "StoreDegradedWarning", "atomic_write_bytes",
+           "frame_blob", "lease_is_stale", "quarantine_file", "read_bytes",
+           "sweep", "unframe_blob"]

@@ -46,10 +46,9 @@ from dataclasses import dataclass, field
 from ..testing.faults import FaultInjector, current_injector
 from .leases import Lease, NullLease, lease_is_stale
 
-__all__ = ["BLOB_MAGIC", "FOOTER_BYTES", "BlobCorruptError", "RetryPolicy",
-           "StoreDegradedWarning", "frame_blob", "unframe_blob",
-           "atomic_write_bytes", "read_bytes", "quarantine_file",
-           "sweep", "BlobStore"]
+__all__ = ["FOOTER_BYTES", "BlobCorruptError", "StoreDegradedWarning",
+           "frame_blob", "unframe_blob", "atomic_write_bytes", "read_bytes",
+           "quarantine_file", "sweep", "BlobStore"]
 
 #: Footer magic: present ⇒ the last 40 bytes are ``MAGIC + sha256(payload)``.
 BLOB_MAGIC = b"RPRBLOB1"

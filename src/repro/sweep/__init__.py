@@ -18,23 +18,18 @@ See ``docs/sweeps.md`` for the sweep-spec grammar, the resume
 guarantees and the leaderboard schema.
 """
 
-from .aggregate import (SWEEP_SCHEMA, build_sweep_manifest,
-                        render_leaderboard, sweep_manifest_path,
-                        validate_sweep_manifest, write_sweep_manifest)
-from .grid import (GridPoint, SweepSpec, derive_point_seed, expand_grid,
-                   load_sweep, seed_basis_fingerprint, sweep_from_dict,
+from .aggregate import (build_sweep_manifest, render_leaderboard,
+                        sweep_manifest_path, validate_sweep_manifest,
+                        write_sweep_manifest)
+from .grid import (GridPoint, SweepSpec, expand_grid, load_sweep,
                    sweep_fingerprint)
-from .runner import (JOURNAL_NAME, PointStatus, SweepError,
-                     point_lease_name, point_state, run_sweep,
-                     sweep_status)
+from .runner import PointStatus, SweepError, run_sweep, sweep_status
 
 __all__ = [
-    "SweepSpec", "GridPoint", "load_sweep", "sweep_from_dict",
-    "expand_grid", "derive_point_seed", "seed_basis_fingerprint",
+    "SweepSpec", "GridPoint", "load_sweep", "expand_grid",
     "sweep_fingerprint",
-    "SweepError", "PointStatus", "point_lease_name", "point_state",
-    "run_sweep", "sweep_status", "JOURNAL_NAME",
-    "SWEEP_SCHEMA", "build_sweep_manifest", "render_leaderboard",
+    "SweepError", "PointStatus", "run_sweep", "sweep_status",
+    "build_sweep_manifest", "render_leaderboard",
     "sweep_manifest_path", "validate_sweep_manifest",
     "write_sweep_manifest",
 ]

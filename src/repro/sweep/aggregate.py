@@ -28,7 +28,7 @@ from ..store.blobs import atomic_write_bytes
 from .grid import GridPoint, SweepSpec, expand_grid, sweep_fingerprint
 from .runner import PointStatus, sweep_status
 
-__all__ = ["SWEEP_SCHEMA", "sweep_manifest_path", "build_sweep_manifest",
+__all__ = ["sweep_manifest_path", "build_sweep_manifest",
            "write_sweep_manifest", "validate_sweep_manifest",
            "render_leaderboard"]
 

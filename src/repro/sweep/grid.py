@@ -44,13 +44,11 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from ..api.spec import (ExperimentSpec, SpecError, apply_overrides,
-                        load_spec, spec_fingerprint, spec_from_dict,
-                        spec_to_dict)
+from ..api.spec import (ExperimentSpec, SpecError, apply_overrides, load_spec,
+                        spec_fingerprint, spec_from_dict, spec_to_dict)
 from ..pipeline.config import fingerprint_of
 
-__all__ = ["SweepSpec", "GridPoint", "load_sweep", "sweep_from_dict",
-           "expand_grid", "derive_point_seed", "seed_basis_fingerprint",
+__all__ = ["SweepSpec", "GridPoint", "load_sweep", "expand_grid",
            "sweep_fingerprint"]
 
 #: Dotted paths that do not change what a spec computes (they are

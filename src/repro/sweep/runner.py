@@ -50,8 +50,7 @@ from ..store.leases import lease_is_stale
 from ..testing.faults import current_injector
 from .grid import GridPoint, SweepSpec, expand_grid
 
-__all__ = ["SweepError", "PointStatus", "point_lease_name", "point_state",
-           "sweep_status", "run_sweep", "JOURNAL_NAME"]
+__all__ = ["SweepError", "PointStatus", "sweep_status", "run_sweep"]
 
 #: Append-only execution journal under ``<artifacts_dir>/experiments/``:
 #: one JSON line per *executed* (not skipped) grid point, so tests and

@@ -9,8 +9,8 @@ compiled into the store's hot paths and because subprocess-based tests
 importable from a bare ``PYTHONPATH=src`` child process.
 """
 
-from .faults import (FaultError, FaultInjector, FaultRule, clear_faults,
-                     current_injector, install_faults)
+from .faults import (FaultInjector, FaultRule, clear_faults, current_injector,
+                     install_faults)
 
-__all__ = ["FaultError", "FaultInjector", "FaultRule", "clear_faults",
-           "current_injector", "install_faults"]
+__all__ = ["FaultInjector", "FaultRule", "clear_faults", "current_injector",
+           "install_faults"]

@@ -50,8 +50,8 @@ import os
 import signal
 from dataclasses import asdict, dataclass, field
 
-__all__ = ["FaultError", "FaultRule", "FaultInjector", "install_faults",
-           "clear_faults", "current_injector", "FAULTS_ENV"]
+__all__ = ["FaultRule", "FaultInjector", "install_faults", "clear_faults",
+           "current_injector"]
 
 #: Environment variable carrying a JSON fault plan into child processes.
 FAULTS_ENV = "REPRO_FAULTS"

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ConfusionCounts", "confusion", "precision", "recall",
-           "f1_score", "accuracy", "evaluate_binary", "MetricSummary",
-           "summarize_runs"]
+__all__ = ["confusion", "precision", "recall", "f1_score", "evaluate_binary",
+           "MetricSummary", "summarize_runs"]
 
 
 @dataclass

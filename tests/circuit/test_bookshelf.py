@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.circuit import (BookshelfError, DesignSpec, generate_design,
-                           read_aux, read_design, write_design)
+                           read_design, write_design)
+from repro.circuit.bookshelf import read_aux
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,20 @@ class TestMalformedInput:
         (tmp_path / "d.aux").write_text(
             "RowBasedPlacement : d.nodes d.nets d.pl\n")
         with pytest.raises(BookshelfError, match="declared"):
+            read_design(str(tmp_path / "d.aux"))
+
+    def test_nonpositive_cell_size(self, tmp_path):
+        (tmp_path / "d.nodes").write_text(
+            "UCLA nodes 1.0\na 0 1\nb -2 1\nc 1 1\n")
+        (tmp_path / "d.nets").write_text(
+            "UCLA nets 1.0\nNetDegree : 3 n0\n"
+            "  a B : 0 0\n  b B : 0 0\n  c B : 0 0\n")
+        (tmp_path / "d.pl").write_text(
+            "UCLA pl 1.0\na 0 0 : N\nb 2 0 : N\nc 4 1 : N\n")
+        (tmp_path / "d.aux").write_text(
+            "RowBasedPlacement : d.nodes d.nets d.pl\n")
+        with pytest.raises(BookshelfError,
+                           match=r"d\.aux: cell sizes must be positive"):
             read_design(str(tmp_path / "d.aux"))
 
 

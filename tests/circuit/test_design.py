@@ -59,11 +59,6 @@ class TestDesignBasics:
         # net0: (5-1) + (2.5-0.5) = 6; net1: (9.5-4) + (9.5-2.5) = 12.5
         assert d.hpwl() == pytest.approx(18.5)
 
-    def test_stats_row(self):
-        row = make_design().stats().as_row()
-        assert row["#cells"] == 3
-        assert row["avg_degree"] == 2.0
-
     def test_copy_is_deep_for_arrays(self):
         d = make_design()
         c = d.copy()

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.circuit import (DesignSpec, SUPERBLUE_IDS, generate_design,
-                           superblue_suite, validate_design)
+from repro.circuit import (DesignSpec, generate_design, superblue_suite,
+                           validate_design)
+from repro.circuit.generator import SUPERBLUE_IDS
 
 
 class TestGenerateDesign:

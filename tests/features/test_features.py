@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.features import (GCELL_FEATURE_NAMES, GNET_FEATURE_NAMES,
-                            compute_gnets, gcell_feature_stack,
-                            net_density_maps, pin_density_map, rudy_map,
-                            terminal_mask)
+from repro.features import (compute_gnets, gcell_feature_stack,
+                            net_density_maps, rudy_map)
+from repro.features.gcell import (GCELL_FEATURE_NAMES, pin_density_map,
+                                  terminal_mask)
+from repro.features.gnet import GNET_FEATURE_NAMES
 
 
 @pytest.fixture(scope="module")

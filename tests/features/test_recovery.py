@@ -71,7 +71,7 @@ def test_expected_pin_density_mass(setup):
 
 def test_expected_pin_density_correlates_with_actual(setup):
     design, grid, gnets, H = setup
-    from repro.features import pin_density_map
+    from repro.features.gcell import pin_density_map
     npin = gnets.features[:, 2:3]
     area = gnets.features[:, 3:4]
     expected = spmm(H, Tensor(npin / area)).data.reshape(-1)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.graph import sample_neighbors, sampled_operators
+from repro.graph import sampled_operators
+from repro.graph.sampling import sample_neighbors
 from repro.nn import SparseMatrix
 
 

@@ -23,8 +23,8 @@ from repro.pipeline import (ManifestGraphs, PipelineConfig, StageCache,
                             STAGE_CALLS, design_fingerprint, get_workload,
                             list_workloads, load_workload, prepare_design,
                             prepare_designs, prepare_workload,
-                            register_workload, reset_stage_calls,
-                            stage_keys_for)
+                            reset_stage_calls, stage_keys_for)
+from repro.pipeline.workloads import register_workload
 from repro.placement import PlacementConfig
 from repro.routing import RouterConfig
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.models import (MLPBaseline, PatchDiscriminator, Pix2Pix, UNet)
+from repro.models import MLPBaseline, Pix2Pix, UNet
+from repro.models.pix2pix import PatchDiscriminator
 from repro.nn import Tensor
 
 

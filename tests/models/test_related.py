@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.models import GridSAGE, SAGELayer
+from repro.models import GridSAGE
+from repro.models.related import SAGELayer
 from repro.nn import Tensor
 
 

@@ -1,10 +1,10 @@
-"""Tests for Module/Linear/MLP/ResidualMLP and friends."""
+"""Tests for Module/Linear/ResidualMLP."""
 
 import numpy as np
 import pytest
 
-from repro.nn import (Activation, Identity, Linear, MLP, Module, ResidualMLP,
-                      Tensor)
+from repro.nn import Linear, Module, ResidualMLP, Tensor
+from repro.nn.layers import Identity
 
 
 @pytest.fixture
@@ -20,10 +20,11 @@ class TestModule:
         assert lin.num_parameters() == 3 * 4 + 4
 
     def test_nested_parameters(self, rng):
-        mlp = MLP([3, 8, 2], rng)
+        mlp = ResidualMLP(3, 8, 2, rng)
         names = dict(mlp.named_parameters())
-        assert "linears.0.weight" in names
-        assert "linears.1.bias" in names
+        assert "fc1.weight" in names
+        assert "fc2.bias" in names
+        assert "proj.weight" in names
 
     def test_parameters_deduplicated(self, rng):
         class Shared(Module):
@@ -50,8 +51,8 @@ class TestModule:
         assert lin.weight.grad is None
 
     def test_state_dict_roundtrip(self, rng):
-        m1 = MLP([3, 5, 2], rng)
-        m2 = MLP([3, 5, 2], np.random.default_rng(99))
+        m1 = ResidualMLP(3, 5, 2, rng)
+        m2 = ResidualMLP(3, 5, 2, np.random.default_rng(99))
         m2.load_state_dict(m1.state_dict())
         x = np.random.default_rng(1).normal(size=(4, 3))
         assert np.allclose(m1(Tensor(x)).data, m2(Tensor(x)).data)
@@ -85,34 +86,6 @@ class TestLinear:
         assert lin.weight.grad is not None
         assert lin.bias.grad is not None
         assert np.allclose(lin.bias.grad, 3.0)
-
-
-class TestActivation:
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            Activation("swish")
-
-    @pytest.mark.parametrize("name", ["relu", "leaky_relu", "sigmoid",
-                                      "tanh", "identity"])
-    def test_known_activations_run(self, name):
-        act = Activation(name)
-        out = act(Tensor(np.array([-1.0, 1.0])))
-        assert out.shape == (2,)
-
-
-class TestMLP:
-    def test_requires_two_dims(self, rng):
-        with pytest.raises(ValueError):
-            MLP([4], rng)
-
-    def test_final_activation_flag(self, rng):
-        m = MLP([2, 4, 1], rng, activation="relu", final_activation=True)
-        out = m(Tensor(np.random.default_rng(0).normal(size=(10, 2))))
-        assert np.all(out.data >= 0)
-
-    def test_depth(self, rng):
-        m = MLP([2, 4, 4, 1], rng)
-        assert len(m.linears) == 3
 
 
 class TestResidualMLP:

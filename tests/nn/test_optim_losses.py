@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.nn import (Adam, GammaWeightedBCE, GANLoss, JointLoss, MLP,
-                      MSELoss, Parameter, StepLR, Tensor, clip_grad_norm,
-                      two_phase_lr)
+from repro.nn import (Adam, GammaWeightedBCE, GANLoss, JointLoss, Parameter,
+                      ResidualMLP, Tensor, clip_grad_norm, two_phase_lr)
+from repro.nn.losses import MSELoss
+from repro.nn.optim import StepLR
 from repro.nn import functional as F
 
 
@@ -147,7 +148,7 @@ class TestEndToEndTraining:
     def test_mlp_learns_xor(self, rng):
         X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
         y = np.array([[0.0], [1.0], [1.0], [0.0]])
-        model = MLP([2, 16, 1], rng)
+        model = ResidualMLP(2, 16, 1, rng)
         opt = Adam(model.parameters(), lr=5e-2)
         loss_fn = GammaWeightedBCE(gamma=1.0)
         for _ in range(400):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import (CheckpointError, MLP, Tensor, read_checkpoint,
+from repro.nn import (CheckpointError, ResidualMLP, Tensor, read_checkpoint,
                       save_checkpoint)
 
 
@@ -21,22 +21,22 @@ def _load_into(model, path):
 
 class TestCheckpointRoundTrip:
     def test_parameters_restored(self, rng, tmp_path):
-        m1 = MLP([4, 8, 2], rng)
+        m1 = ResidualMLP(4, 8, 2, rng)
         path = save_checkpoint(m1, str(tmp_path / "m.npz"))
-        m2 = MLP([4, 8, 2], np.random.default_rng(99))
+        m2 = ResidualMLP(4, 8, 2, np.random.default_rng(99))
         _load_into(m2, path)
         x = rng.normal(size=(5, 4))
         assert np.allclose(m1(Tensor(x)).data, m2(Tensor(x)).data)
 
     def test_metadata_roundtrip(self, rng, tmp_path):
-        m = MLP([2, 4, 1], rng)
+        m = ResidualMLP(2, 4, 1, rng)
         path = save_checkpoint(m, str(tmp_path / "m.npz"),
                                metadata={"epochs": 20, "f1": 41.5})
         meta = _load_into(m, path)
         assert meta == {"epochs": 20, "f1": 41.5}
 
     def test_extension_appended(self, rng, tmp_path):
-        m = MLP([2, 4, 1], rng)
+        m = ResidualMLP(2, 4, 1, rng)
         path = save_checkpoint(m, str(tmp_path / "noext"))
         assert path.endswith(".npz")
         _load_into(m, str(tmp_path / "noext"))  # finds .npz
@@ -54,9 +54,9 @@ class TestCheckpointRoundTrip:
 
 class TestCheckpointErrors:
     def test_architecture_mismatch(self, rng, tmp_path):
-        m1 = MLP([4, 8, 2], rng)
+        m1 = ResidualMLP(4, 8, 2, rng)
         path = save_checkpoint(m1, str(tmp_path / "m.npz"))
-        wrong = MLP([4, 16, 2], rng)
+        wrong = ResidualMLP(4, 16, 2, rng)
         with pytest.raises(ValueError, match="shape mismatch"):
             _load_into(wrong, path)
 
@@ -77,7 +77,7 @@ class TestCheckpointErrors:
             read_checkpoint(str(path))
 
     def test_truncated_npz(self, rng, tmp_path):
-        m = MLP([4, 8, 2], rng)
+        m = ResidualMLP(4, 8, 2, rng)
         path = tmp_path / "trunc.npz"
         save_checkpoint(m, str(path))
         blob = path.read_bytes()
@@ -129,7 +129,7 @@ class TestAllFamiliesRoundTrip:
 
 class TestHeaderReader:
     def test_header_fields(self, rng, tmp_path):
-        m = MLP([4, 8, 2], rng)
+        m = ResidualMLP(4, 8, 2, rng)
         path = save_checkpoint(m, str(tmp_path / "m.npz"),
                                metadata={"f1": 41.5})
         header, _ = read_checkpoint(path)
@@ -139,7 +139,7 @@ class TestHeaderReader:
         assert sorted(header["parameter_names"]) == sorted(m.state_dict())
 
     def test_header_appends_extension(self, rng, tmp_path):
-        m = MLP([2, 4, 1], rng)
+        m = ResidualMLP(2, 4, 1, rng)
         save_checkpoint(m, str(tmp_path / "noext"))
         header, _ = read_checkpoint(str(tmp_path / "noext"))
         assert header["format"] == "repro-checkpoint-v1"

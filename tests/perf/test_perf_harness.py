@@ -1,4 +1,4 @@
-"""Tests for the perf harness: op timers, allocation counters, reporter.
+"""Tests for the perf harness: op timings, allocation counters, reporter.
 
 The reporter tests are the tier-1 guard the CI nightly bench job relies
 on: if ``write_bench_report`` ever emits JSON that ``load_bench_report``
@@ -23,29 +23,27 @@ from repro.perf.report import (BENCH_SCHEMA, REPORT_ENV, load_bench_report,
 @pytest.fixture(autouse=True)
 def _clean_registry():
     perf.disable()
-    perf.reset()
+    perf.PERF.reset()
     yield
     perf.disable()
-    perf.reset()
+    perf.PERF.reset()
 
 
 class TestRegistry:
     def test_disabled_records_nothing(self):
-        with perf.op_timer("noop"):
-            pass
+        x = Tensor(np.ones((4, 3)), requires_grad=True)
+        spmm(SparseMatrix(np.eye(4)), x).sum().backward()
         assert perf.perf_report()["ops"] == {}
 
     def test_enable_capture_and_report(self):
         perf.enable()
-        with perf.op_timer("stage", nbytes=128):
-            pass
-        with perf.op_timer("stage", nbytes=128):
-            pass
+        perf.PERF.record("stage", 0.25, nbytes=128)
+        perf.PERF.record("stage", 0.5, nbytes=128)
         report = perf.perf_report()
         stat = report["ops"]["stage"]
         assert stat["calls"] == 2
-        assert stat["total_s"] >= 0.0
-        assert stat["mean_s"] == pytest.approx(stat["total_s"] / 2)
+        assert stat["total_s"] == pytest.approx(0.75)
+        assert stat["mean_s"] == pytest.approx(0.375)
         assert stat["bytes_allocated"] == 256
 
     def test_enable_resets_by_default(self):

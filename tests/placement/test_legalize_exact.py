@@ -12,9 +12,8 @@ import pytest
 
 from repro.circuit import DesignSpec, generate_design
 from repro.circuit.generator import hotspot_suite, macro_heavy_suite
-from repro.placement import legalize, spread
+from repro.placement import QuadraticPlacer, legalize, spread
 from repro.placement.legalize import _legalize_reference
-from repro.placement.quadratic import solve_quadratic
 
 
 def _assert_exact(design):
@@ -30,7 +29,9 @@ def spread_designs():
     """Suite designs in their pre-legalisation state (quadratic + spread)."""
     designs = hotspot_suite(scale=0.2)[:2] + macro_heavy_suite(scale=0.2)[:2]
     for design in designs:
-        solve_quadratic(design)
+        x, y = QuadraticPlacer(design).solve()
+        design.cell_x[~design.cell_fixed] = x
+        design.cell_y[~design.cell_fixed] = y
         spread(design, seed=0)
     return designs
 

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.circuit import Design, DesignSpec, generate_design
-from repro.placement import (PlacementConfig, QuadraticPlacer, SpreadingConfig,
+from repro.placement import (PlacementConfig, QuadraticPlacer,
                              compute_bin_density, density_map, hpwl, legalize,
-                             overlap_count, per_net_hpwl, place, row_segments,
-                             solve_quadratic, spread)
+                             overlap_count, place, spread)
+from repro.placement.hpwl import per_net_hpwl
+from repro.placement.legalize import row_segments
+from repro.placement.spreading import SpreadingConfig
 
 
 @pytest.fixture
@@ -15,6 +17,13 @@ def design():
     return generate_design(DesignSpec(name="place-t", seed=21,
                                       num_movable=150, num_terminals=16,
                                       num_macros=2, die_size=32.0))
+
+
+def solve_quadratic(design):
+    """Quadratic-place the movable cells of ``design`` in place."""
+    x, y = QuadraticPlacer(design).solve()
+    design.cell_x[~design.cell_fixed] = x
+    design.cell_y[~design.cell_fixed] = y
 
 
 def two_cell_design():

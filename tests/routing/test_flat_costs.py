@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuit import DesignSpec, generate_design
-from repro.routing import GlobalRouter, RouterConfig, l_paths, unflatten
+from repro.routing import GlobalRouter, RouterConfig
+from repro.routing.grid import unflatten
+from repro.routing.pattern import l_paths
 
 
 @pytest.fixture(scope="module")

@@ -7,9 +7,10 @@ from repro.circuit import DesignSpec, generate_design
 from repro.placement import place
 from repro.routing import (GlobalRouter, RouterConfig, RoutingGrid,
                            astar_route, best_pattern_path, congestion_rate,
-                           decompose_net, extract_maps, flatten, l_paths,
-                           mst_edges, path_cells, path_cost, path_edges,
-                           straight_path, z_paths)
+                           decompose_net, extract_maps, flatten, path_cells,
+                           path_edges)
+from repro.routing.pattern import l_paths, path_cost, straight_path, z_paths
+from repro.routing.steiner import _mst_edges_reference, mst_edges
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +103,17 @@ class TestSteiner:
         edges = mst_edges(pts)
         total = sum(abs(pts[i][0] - pts[j][0]) for i, j in edges)
         assert total == 2  # chain, not star
+
+    @pytest.mark.parametrize("span", [2, 4, 32])
+    def test_mst_matches_reference_with_ties(self, span):
+        # Small spans put many points at equal L1 distance (and some on
+        # the same G-cell), so the tie-breaking must match too.
+        rng = np.random.default_rng(span)
+        for n in range(9):
+            for _ in range(200):
+                pts = [tuple(int(v) for v in p)
+                       for p in rng.integers(0, span, size=(n, 2))]
+                assert mst_edges(pts) == _mst_edges_reference(pts), pts
 
     def test_decompose_small(self):
         assert decompose_net([(0, 0)]) == []

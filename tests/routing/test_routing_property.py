@@ -3,8 +3,9 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.routing import (astar_route, decompose_net, flatten, l_paths,
-                           mst_edges, path_cells)
+from repro.routing import astar_route, decompose_net, flatten, path_cells
+from repro.routing.pattern import l_paths
+from repro.routing.steiner import mst_edges
 from repro.routing.pattern import path_cost
 
 COORD = st.tuples(st.integers(0, 11), st.integers(0, 11))

@@ -22,9 +22,10 @@ import pytest
 
 from repro.models.mlp_baseline import MLPBaseline
 from repro.pipeline import PipelineConfig
-from repro.serve import (PROTOCOL_VERSION, DesignResolver, InferenceEngine,
-                         ServeClient, ServeConfig, ServeError, ServeService,
-                         ServiceConfig, WorkerError)
+from repro.serve import (DesignResolver, InferenceEngine, ServeClient,
+                         ServeConfig, ServeError, ServeService, ServiceConfig,
+                         WorkerError)
+from repro.serve.server import PROTOCOL_VERSION
 from repro.serve.supervisor import _predict_batch
 
 TINY_SPEC = {"name": "wire-a", "seed": 5, "num_movable": 90,

@@ -66,9 +66,9 @@ class TestRegistry:
             == {k: v.shape for k, v in rebuilt.state_dict().items()}
 
     def test_family_of_unregistered_type(self, rng):
-        from repro.nn import MLP
+        from repro.nn import ResidualMLP
         with pytest.raises(CheckpointError, match="not a registered"):
-            family_of(MLP([2, 2], rng))
+            family_of(ResidualMLP(2, 2, 2, rng))
 
     def test_get_family_unknown_name(self):
         with pytest.raises(CheckpointError, match="unknown model family"):

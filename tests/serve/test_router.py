@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.serve import Route, Router, routing_key
+from repro.serve import Router
+from repro.serve.router import Route, routing_key
 
 
 class TestRoutingKey:

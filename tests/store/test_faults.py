@@ -11,8 +11,9 @@ import errno
 
 import pytest
 
-from repro.testing import (FaultError, FaultInjector, FaultRule,
-                           clear_faults, current_injector, install_faults)
+from repro.testing import (FaultInjector, FaultRule, clear_faults,
+                           current_injector, install_faults)
+from repro.testing.faults import FaultError
 from repro.testing.faults import FAULTS_ENV
 
 

@@ -7,10 +7,11 @@ import pytest
 from sweep_utils import tiny_sweep_payload, write_stub_manifest
 
 from repro.api import SpecError
-from repro.sweep import (SWEEP_SCHEMA, build_sweep_manifest, expand_grid,
-                         render_leaderboard, run_sweep, sweep_from_dict,
-                         sweep_manifest_path, validate_sweep_manifest,
-                         write_sweep_manifest)
+from repro.sweep import (build_sweep_manifest, expand_grid, render_leaderboard,
+                         run_sweep, sweep_manifest_path,
+                         validate_sweep_manifest, write_sweep_manifest)
+from repro.sweep.aggregate import SWEEP_SCHEMA
+from repro.sweep.grid import sweep_from_dict
 
 
 def make_sweep(tmp_path, **kwargs):

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.api import SpecError, spec_fingerprint
-from repro.sweep import (derive_point_seed, expand_grid, load_sweep,
-                         seed_basis_fingerprint, sweep_from_dict,
-                         sweep_fingerprint)
+from repro.sweep import expand_grid, load_sweep, sweep_fingerprint
+from repro.sweep.grid import (derive_point_seed, seed_basis_fingerprint,
+                              sweep_from_dict)
 
 from sweep_utils import tiny_sweep_payload
 

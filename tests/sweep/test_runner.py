@@ -9,9 +9,9 @@ import pytest
 from sweep_utils import tiny_sweep_payload, write_stub_manifest
 
 from repro.store import BlobStore
-from repro.sweep import (JOURNAL_NAME, SweepError, expand_grid,
-                         point_lease_name, point_state, run_sweep,
-                         sweep_from_dict, sweep_status)
+from repro.sweep import SweepError, expand_grid, run_sweep, sweep_status
+from repro.sweep.grid import sweep_from_dict
+from repro.sweep.runner import JOURNAL_NAME, point_lease_name, point_state
 
 
 def make_sweep(tmp_path, **kwargs):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.train import (ConfusionCounts, MetricSummary, accuracy, confusion,
-                         evaluate_binary, f1_score, precision, recall,
-                         summarize_runs)
+from repro.train import (MetricSummary, confusion, evaluate_binary, f1_score,
+                         precision, recall, summarize_runs)
+from repro.train.metrics import accuracy
 
 
 class TestConfusion:
