@@ -209,9 +209,8 @@ def prepare_bench_setup():
 
 def _prepare_all(designs, config, cache_root, workers):
     from repro.pipeline import StageCache, prepare_designs
-    graphs, _ = prepare_designs(designs, config, workers=workers,
-                                cache=StageCache(cache_root))
-    return graphs
+    return prepare_designs(designs, config, workers=workers,
+                           cache=StageCache(cache_root))
 
 
 @pytest.mark.slow

@@ -61,7 +61,7 @@ def load_dataset(spec: ExperimentSpec, verbose: bool = False
     """Prepare the spec's workload and wrap it in the dataset views.
 
     Runs the staged pipeline (place / route / graph, per-stage cached)
-    for ``spec.workload`` and returns the lazy manifest-backed dataset at
+    for ``spec.workload`` and returns the dataset over its graphs at
     ``spec.model.channels`` channels.  Exposed separately so callers that
     drive several experiments over one workload (e.g. the model zoo)
     prepare it once and pass ``dataset=`` into :func:`run_experiment`.
@@ -74,17 +74,17 @@ def load_dataset(spec: ExperimentSpec, verbose: bool = False
     if w.bookshelf_dir:
         params["root"] = w.bookshelf_dir
     config = PipelineConfig(scale=w.scale, use_cache=w.use_cache)
-    # Only workload *instantiation* (unknown suite, rejected or missing
-    # suite parameters) is a spec problem; bugs inside the actual
+    # Only workload *instantiation* (unknown suite, rejected suite
+    # parameters) is a spec problem; bugs inside a factory or the
     # place-and-route preparation must traceback, not masquerade as
     # user errors.
     try:
         designs = load_workload(w.suite, config, **params)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError) as exc:
         raise SpecError(f"workload {w.suite!r} rejected the spec: "
                         f"{exc}") from exc
     graphs = prepare_workload(w.suite, config, workers=w.workers,
-                              lazy=True, verbose=verbose, designs=designs,
+                              verbose=verbose, designs=designs,
                               **params)
     return CongestionDataset(graphs, channels=spec.model.channels)
 
@@ -249,8 +249,7 @@ def run_experiment(spec: ExperimentSpec, *,
             metadata=_checkpoint_metadata(spec, fingerprint, metrics))
 
     split = dataset.split
-    names = [dataset.graphs[i].name for i in range(len(dataset))] \
-        if not hasattr(dataset.graphs, "names") else list(dataset.graphs.names)
+    names = [g.name for g in dataset.graphs]
     manifest = {
         "schema": RESULT_SCHEMA,
         "experiment": spec_to_dict(spec),

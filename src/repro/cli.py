@@ -249,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_dataset(channels: int = 1, scale: float = 1.0,
                   suite: str = "superblue", count: int | None = None):
-    """Dataset views of any registered workload (lazy manifest-backed)."""
+    """Dataset views of any registered workload."""
     from repro.api import load_dataset, spec_from_dict
     spec = spec_from_dict({
         "workload": {"suite": suite, "scale": scale, "count": count},
@@ -313,32 +313,18 @@ def cmd_prepare(args) -> int:
         params["root"] = args.bookshelf_dir
     if args.count is not None:
         params["count"] = args.count
-    # Validate suite name and flags first so user errors fail fast with a
-    # clean message, while real pipeline bugs during the (long)
-    # preparation still traceback.
-    import inspect
-
-    from repro.pipeline import get_workload
-    try:
-        workload = get_workload(args.suite)
-    except KeyError as exc:
-        print(f"prepare failed: {exc}", file=sys.stderr)
-        return 2
-    try:
-        inspect.signature(workload.factory).bind(config, **params)
-    except TypeError:
-        print(f"prepare failed: suite {args.suite!r} does not accept "
-              f"parameters {sorted(params)}", file=sys.stderr)
-        return 2
+    # Instantiate the workload first so user errors (unknown suite,
+    # rejected flags) fail fast with a clean message, while real
+    # pipeline bugs during the (long) preparation still traceback.
     try:
         designs = load_workload(args.suite, config, **params)
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         print(f"prepare failed: {exc}", file=sys.stderr)
         return 2
     from repro.pipeline import StageCache, default_cache_dir
     cache = StageCache(default_cache_dir() if config.use_cache else None)
     graphs = prepare_workload(args.suite, config, workers=args.workers,
-                              verbose=True, lazy=True, designs=designs,
+                              verbose=True, designs=designs,
                               cache=cache)
     print(f"prepared {len(graphs)} designs of suite {args.suite!r} "
           f"({graphs[0].nx}x{graphs[0].ny} G-cells each) "

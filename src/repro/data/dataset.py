@@ -155,12 +155,8 @@ class CongestionDataset:
     Parameters
     ----------
     graphs:
-        Labelled LH-graphs from :func:`repro.pipeline.prepare_workload`,
-        or any lazy sequence of them — e.g. the
-        :class:`~repro.pipeline.cache.ManifestGraphs` view returned by
-        ``prepare_workload(..., lazy=True)``.  Lists are validated
-        eagerly; lazy sequences are validated per graph on first access,
-        so constructing the dataset deserialises nothing.
+        Labelled LH-graphs from :func:`repro.pipeline.prepare_workload`;
+        every graph's labels are checked when the dataset is built.
     channels:
         1 → uni-channel task (horizontal congestion only);
         2 → duo-channel (horizontal and vertical).
@@ -173,38 +169,20 @@ class CongestionDataset:
                  zero_gcell_features: bool = False):
         if channels not in (1, 2):
             raise ValueError("channels must be 1 (uni) or 2 (duo)")
-        if isinstance(graphs, (list, tuple)):
-            graphs = list(graphs)
-            for g in graphs:
-                self._check_labelled(g)
-        self.graphs = graphs
+        self.graphs: list[LHGraph] = list(graphs)
+        for g in self.graphs:
+            if g.congestion is None or g.demand is None:
+                raise ValueError(f"graph {g.name} is unlabelled")
         self.channels = channels
         self.zero_gcell_features = zero_gcell_features
         self._split: SplitResult | None = None
-
-    @staticmethod
-    def _check_labelled(g: LHGraph) -> LHGraph:
-        if g.congestion is None or g.demand is None:
-            raise ValueError(f"graph {g.name} is unlabelled")
-        return g
-
-    def graph(self, index: int) -> LHGraph:
-        """Graph ``index``, materialised and label-checked."""
-        return self._check_labelled(self.graphs[index])
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.graphs)
 
     def congestion_rates(self, channel: int = 0) -> np.ndarray:
-        """Per-design congestion rate for the given label channel.
-
-        Manifest-backed sequences answer this from their metadata without
-        loading any graph blob.
-        """
-        rates = getattr(self.graphs, "congestion_rates", None)
-        if callable(rates):
-            return np.asarray(rates(channel))
+        """Per-design congestion rate for the given label channel."""
         return np.array([g.congestion_rate(channel) for g in self.graphs])
 
     @property
@@ -226,12 +204,8 @@ class CongestionDataset:
 
     # ------------------------------------------------------------------
     def sample(self, index: int) -> GraphSample:
-        """Materialise every view of design ``index``.
-
-        Delegates to :func:`sample_of` after the label check (training
-        and evaluation always need targets).
-        """
-        return sample_of(self.graph(index), channels=self.channels,
+        """Every view of design ``index`` (see :func:`sample_of`)."""
+        return sample_of(self.graphs[index], channels=self.channels,
                          zero_gcell_features=self.zero_gcell_features)
 
     # ------------------------------------------------------------------

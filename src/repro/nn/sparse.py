@@ -142,17 +142,6 @@ class SparseMatrix:
         """Vector of per-column sums."""
         return np.asarray(self.mat.sum(axis=0)).reshape(-1)
 
-    @staticmethod
-    def from_coo(rows, cols, vals, shape: tuple[int, int],
-                 dtype=None) -> "SparseMatrix":
-        """Build from coordinate lists (duplicates are summed)."""
-        vals = np.asarray(vals)
-        if vals.dtype.kind != "f":
-            vals = vals.astype(dtype or get_default_dtype())
-        m = sp.coo_matrix((vals, (np.asarray(rows), np.asarray(cols))),
-                          shape=shape)
-        return SparseMatrix(m.tocsr(), dtype=dtype)
-
 
 def row_normalize(adj: SparseMatrix) -> SparseMatrix:
     """Return ``Deg⁻¹ · adj`` with zero-degree rows left at zero.

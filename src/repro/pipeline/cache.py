@@ -4,7 +4,11 @@ Layout under the cache root (``REPRO_CACHE_DIR`` or
 ``~/.cache/repro-lhnn``)::
 
     objects/<kk>/<key>.pkl      one stage product per key (content address)
-    manifests/<suite-key>.json  per-suite manifest of designs → stage keys
+    leases/<key>.json           in-progress stage computations
+    quarantine/                 corrupt blobs and their reason records
+
+The graph blobs are the only record of a prepared suite: preparing a
+workload again re-derives every design's keys and loads its graph.
 
 Keys chain: the placement key hashes the design content and the
 placement-config slice; the routing key hashes the placement key and the
@@ -29,7 +33,6 @@ import hashlib
 import json
 import os
 import pickle
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,8 +40,7 @@ from ..circuit.design import Design
 from ..store import BlobStore
 from .config import SCHEMA_VERSION, canonical_payload, fingerprint_of
 
-__all__ = ["default_cache_dir", "design_fingerprint", "StageCache",
-           "ManifestEntry", "SuiteManifest", "ManifestGraphs"]
+__all__ = ["default_cache_dir", "design_fingerprint", "StageCache"]
 
 
 def default_cache_dir() -> str:
@@ -180,145 +182,3 @@ class StageCache:
     def gc(self, *, max_tmp_age_s: float = 600.0) -> dict:
         """Sweep orphaned tmp files and expired leases (see store docs)."""
         return self.blobs.gc(max_tmp_age_s=max_tmp_age_s)
-
-    # -- manifests -----------------------------------------------------
-    def manifest_path(self, suite_key: str) -> str:
-        return os.path.join(self.root, "manifests", f"{suite_key}.json")
-
-    def load_manifest(self, suite_key: str) -> "SuiteManifest | None":
-        if self.root is None:
-            return None
-        path = self.manifest_path(suite_key)
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path) as handle:
-                return SuiteManifest.from_json(json.load(handle))
-        except (OSError, ValueError, KeyError, TypeError):
-            return None  # corrupt / schema-drifted manifest: cache miss
-
-    def store_manifest(self, manifest: "SuiteManifest") -> None:
-        if self.root is None:
-            return
-        payload = json.dumps(manifest.to_json(), indent=1,
-                             sort_keys=True).encode()
-        self.blobs.write_plain(self.manifest_path(manifest.suite_key),
-                               payload)
-
-
-# ----------------------------------------------------------------------
-# Manifests
-# ----------------------------------------------------------------------
-
-@dataclass
-class ManifestEntry:
-    """One design's stage keys and summary stats inside a suite manifest."""
-
-    design_name: str
-    design_fp: str
-    place_key: str
-    route_key: str
-    graph_key: str
-    num_cells: int = 0
-    num_nets: int = 0
-    congestion_rate_h: float = 0.0
-    congestion_rate_v: float = 0.0
-
-
-@dataclass
-class SuiteManifest:
-    """Record of one prepared suite: per-design stage keys + provenance.
-
-    The manifest is what downstream consumers (the dataset, the CLI
-    ``stats`` summary) read instead of a monolithic suite pickle; the
-    actual graphs are loaded lazily per design through
-    :class:`ManifestGraphs`.
-    """
-
-    suite_key: str
-    suite_name: str
-    config_fp: str
-    schema_version: int = SCHEMA_VERSION
-    entries: list[ManifestEntry] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "suite_key": self.suite_key,
-            "suite_name": self.suite_name,
-            "config_fp": self.config_fp,
-            "schema_version": self.schema_version,
-            "entries": [vars(e).copy() for e in self.entries],
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "SuiteManifest":
-        return cls(
-            suite_key=payload["suite_key"],
-            suite_name=payload["suite_name"],
-            config_fp=payload["config_fp"],
-            schema_version=int(payload.get("schema_version", 0)),
-            entries=[ManifestEntry(**e) for e in payload["entries"]],
-        )
-
-    def is_complete(self, cache: StageCache) -> bool:
-        """True when every entry's graph blob is present in ``cache``."""
-        return bool(self.entries) and all(
-            cache.contains(e.graph_key) for e in self.entries)
-
-
-class ManifestGraphs:
-    """Lazy, memoised sequence of LH-graphs behind a suite manifest.
-
-    Quacks like the ``list[LHGraph]`` the dataset historically consumed,
-    but loads each per-design graph blob from the stage cache on first
-    access only.  Congestion rates are answered straight from the
-    manifest without touching any blob, which keeps split selection and
-    ``stats`` summaries free of deserialisation cost.
-    """
-
-    def __init__(self, manifest: SuiteManifest, cache: StageCache,
-                 graphs: "list | None" = None):
-        self.manifest = manifest
-        self.cache = cache
-        # ``graphs`` pre-seeds the memo (entry order) so a run that just
-        # computed the suite doesn't re-deserialise its own blobs.
-        if graphs is not None and len(graphs) != len(manifest.entries):
-            raise ValueError("preloaded graphs disagree with manifest size")
-        self._graphs: list = (list(graphs) if graphs is not None
-                              else [None] * len(manifest.entries))
-
-    def __len__(self) -> int:
-        return len(self.manifest.entries)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(index)
-        if self._graphs[index] is None:
-            entry = self.manifest.entries[index]
-            graph = self.cache.load(entry.graph_key)
-            if graph is None:
-                raise KeyError(
-                    f"graph blob {entry.graph_key} for design "
-                    f"{entry.design_name!r} missing from cache "
-                    f"{self.cache.root!r}; re-run prepare")
-            self._graphs[index] = graph
-        return self._graphs[index]
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-    def congestion_rates(self, channel: int = 0) -> np.ndarray:
-        """Per-design congestion rates from manifest metadata (no I/O)."""
-        if channel == 0:
-            return np.array([e.congestion_rate_h
-                             for e in self.manifest.entries])
-        return np.array([e.congestion_rate_v for e in self.manifest.entries])
-
-    @property
-    def names(self) -> list[str]:
-        return [e.design_name for e in self.manifest.entries]

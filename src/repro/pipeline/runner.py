@@ -10,9 +10,8 @@ The runner ties the pieces together:
   ``config.placement.seed``, so any worker count produces bit-identical
   graphs,
 * :func:`prepare_workload` — look a workload up in the registry
-  (:mod:`repro.pipeline.workloads`), prepare it, persist a
-  :class:`~repro.pipeline.cache.SuiteManifest` and hand back either the
-  graph list or the lazy :class:`~repro.pipeline.cache.ManifestGraphs`.
+  (:mod:`repro.pipeline.workloads`), prepare it and hand back its graph
+  list; a warm run loads each design's graph blob from the stage cache.
 """
 
 from __future__ import annotations
@@ -20,13 +19,11 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 
 from ..circuit.design import Design
 from ..graph.lhgraph import LHGraph
 from ..testing.faults import current_injector
-from .cache import (ManifestEntry, ManifestGraphs, StageCache, SuiteManifest,
-                    default_cache_dir, design_fingerprint)
+from .cache import StageCache, default_cache_dir, design_fingerprint
 from .config import PipelineConfig
 from .stages import (GRAPH_STAGE, PLACE_STAGE, ROUTE_STAGE,
                      run_graph_stage, run_place_stage, run_route_stage)
@@ -42,8 +39,7 @@ def _resolve_cache(config: PipelineConfig,
     return StageCache(default_cache_dir() if config.use_cache else None)
 
 
-def stage_keys_for(design: Design, config: PipelineConfig,
-                   design_fp: str | None = None) -> dict[str, str]:
+def stage_keys_for(design: Design, config: PipelineConfig) -> dict[str, str]:
     """The chained (place, route, graph) cache keys of one design.
 
     Each key chains its parent's key with the stage's config slice, so
@@ -51,7 +47,7 @@ def stage_keys_for(design: Design, config: PipelineConfig,
     config.  Pure hashing — no stage work.  Exposed so tests and tools
     can reason about cache state without running the pipeline.
     """
-    fp = design_fp or design_fingerprint(design)
+    fp = design_fingerprint(design)
     place_key = StageCache.chain_key(
         fp, PLACE_STAGE.config_fingerprint(config))
     route_key = StageCache.chain_key(
@@ -60,14 +56,6 @@ def stage_keys_for(design: Design, config: PipelineConfig,
         route_key, GRAPH_STAGE.config_fingerprint(config))
     return {"design": fp, "place": place_key, "route": route_key,
             "graph": graph_key}
-
-
-@dataclass
-class _PreparedDesign:
-    """Internal result of one staged preparation."""
-
-    graph: LHGraph
-    entry: ManifestEntry
 
 
 #: Poll interval while waiting on another worker's in-progress lease.
@@ -113,25 +101,13 @@ def _locked_compute(cache: StageCache, key: str, stage: str,
         return obj
 
 
-def _prepare_one(design: Design, config: PipelineConfig, cache: StageCache,
-                 design_fp: str | None = None) -> _PreparedDesign:
+def _prepare_one(design: Design, config: PipelineConfig,
+                 cache: StageCache) -> LHGraph:
     """Run (or load) the three stages for one design."""
-    fp = design_fp or design_fingerprint(design)
-    keys = stage_keys_for(design, config, design_fp=fp)
-
-    def entry_for(graph: LHGraph) -> ManifestEntry:
-        return ManifestEntry(
-            design_name=design.name, design_fp=fp,
-            place_key=keys["place"], route_key=keys["route"],
-            graph_key=keys["graph"],
-            num_cells=design.num_cells, num_nets=design.num_nets,
-            congestion_rate_h=graph.congestion_rate(0),
-            congestion_rate_v=graph.congestion_rate(1),
-        )
-
+    keys = stage_keys_for(design, config)
     graph = cache.load(keys["graph"])
     if graph is not None:
-        return _PreparedDesign(graph=graph, entry=entry_for(graph))
+        return graph
 
     target = design.copy()
     placement = cache.load(keys["place"])
@@ -155,10 +131,9 @@ def _prepare_one(design: Design, config: PipelineConfig, cache: StageCache,
         routing = _locked_compute(cache, keys["route"], "route", design.name,
                                   lambda: run_route_stage(target, config))
 
-    graph = _locked_compute(
+    return _locked_compute(
         cache, keys["graph"], "graph", design.name,
         lambda: run_graph_stage(target, routing, config))
-    return _PreparedDesign(graph=graph, entry=entry_for(graph))
 
 
 def prepare_design(design: Design, config: PipelineConfig | None = None,
@@ -171,62 +146,51 @@ def prepare_design(design: Design, config: PipelineConfig | None = None,
     """
     config = config or PipelineConfig()
     cache = _resolve_cache(config, cache)
-    return _prepare_one(design, config, cache).graph
+    return _prepare_one(design, config, cache)
 
 
 # ----------------------------------------------------------------------
 # Parallel preparation
 # ----------------------------------------------------------------------
 
-def _worker(payload) -> tuple[LHGraph, ManifestEntry]:
+def _worker(payload) -> LHGraph:
     """Top-level worker (must be picklable for ProcessPoolExecutor)."""
-    design, config, cache_root, design_fp = payload
-    cache = StageCache(cache_root)
-    done = _prepare_one(design, config, cache, design_fp=design_fp)
-    return done.graph, done.entry
+    design, config, cache_root = payload
+    return _prepare_one(design, config, StageCache(cache_root))
 
 
 def prepare_designs(designs: list[Design],
                     config: PipelineConfig | None = None, *,
                     workers: int = 1, verbose: bool = False,
-                    cache: StageCache | None = None,
-                    design_fps: list[str] | None = None
-                    ) -> tuple[list[LHGraph], list[ManifestEntry]]:
-    """Prepare many designs; returns (graphs, manifest entries) in order.
+                    cache: StageCache | None = None) -> list[LHGraph]:
+    """Prepare many designs; returns their graphs in order.
 
     ``workers > 1`` fans designs out over a ``ProcessPoolExecutor``.
     Results are collected in submission order and every stage is a pure
     function of (design, config) — placement uses
     ``config.placement.seed`` — so the output is bit-identical for any
-    worker count.  Workers share the cache root through atomic writes;
-    the parent process aggregates the entries.
+    worker count.  Workers share the cache root through atomic writes.
     """
     config = config or PipelineConfig()
     cache = _resolve_cache(config, cache)
-    fps = design_fps or [None] * len(designs)
     graphs: list[LHGraph] = []
-    entries: list[ManifestEntry] = []
     if workers <= 1 or len(designs) <= 1:
-        for design, fp in zip(designs, fps):
+        for design in designs:
             if verbose:
                 print(f"[pipeline] preparing {design.name} "
                       f"({design.num_cells} cells, {design.num_nets} nets)")
-            done = _prepare_one(design, config, cache, design_fp=fp)
-            graphs.append(done.graph)
-            entries.append(done.entry)
-        return graphs, entries
+            graphs.append(_prepare_one(design, config, cache))
+        return graphs
 
-    payloads = [(d, config, cache.root, fp) for d, fp in zip(designs, fps)]
+    payloads = [(d, config, cache.root) for d in designs]
     max_workers = min(workers, len(designs), (os.cpu_count() or 1) * 4)
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        for design, (graph, entry) in zip(designs,
-                                          pool.map(_worker, payloads)):
+        for design, graph in zip(designs, pool.map(_worker, payloads)):
             if verbose:
                 print(f"[pipeline] prepared {design.name} "
                       f"({design.num_cells} cells, {design.num_nets} nets)")
             graphs.append(graph)
-            entries.append(entry)
-    return graphs, entries
+    return graphs
 
 
 # ----------------------------------------------------------------------
@@ -236,20 +200,17 @@ def prepare_designs(designs: list[Design],
 def prepare_workload(suite: str = "superblue",
                      config: PipelineConfig | None = None, *,
                      workers: int = 1, verbose: bool = False,
-                     lazy: bool = False,
                      cache: StageCache | None = None,
                      designs: list[Design] | None = None,
-                     **workload_params):
+                     **workload_params) -> list[LHGraph]:
     """Prepare a registered workload end to end; returns its graphs.
 
-    Looks ``suite`` up in the workload registry, prepares every design
-    (honouring the per-stage cache and ``workers``), persists the suite
-    manifest, and returns either the eager graph list or — with
-    ``lazy=True`` and a persistent cache — a
-    :class:`~repro.pipeline.cache.ManifestGraphs` view that loads each
-    graph on first access.  Callers that already instantiated the
-    workload (e.g. to validate user input first) pass ``designs`` to
-    skip the second factory call.
+    Looks ``suite`` up in the workload registry and prepares every
+    design through :func:`prepare_designs` (honouring the per-stage
+    cache and ``workers``): a warm cache serves each design's graph
+    blob without running a stage.  Callers that already instantiated
+    the workload (e.g. to validate user input first) pass ``designs``
+    to skip the second factory call.
     """
     from .workloads import load_workload  # late: registry may be extended
     config = config or PipelineConfig()
@@ -260,26 +221,5 @@ def prepare_workload(suite: str = "superblue",
         cache.gc()
     if designs is None:
         designs = load_workload(suite, config, **workload_params)
-
-    # One fingerprint pass per design, shared by suite key and stages.
-    keys = [stage_keys_for(d, config) for d in designs]
-    suite_key = StageCache.chain_key(
-        f"suite:{suite}", config.fingerprint(), *[k["graph"] for k in keys])
-
-    manifest = cache.load_manifest(suite_key)
-    if manifest is None or not manifest.is_complete(cache):
-        graphs, entries = prepare_designs(
-            designs, config, workers=workers, verbose=verbose, cache=cache,
-            design_fps=[k["design"] for k in keys])
-        manifest = SuiteManifest(suite_key=suite_key, suite_name=suite,
-                                 config_fp=config.fingerprint(),
-                                 entries=entries)
-        cache.store_manifest(manifest)
-        if not lazy or cache.root is None:
-            return graphs
-        # Seed the lazy view with what we just computed — no re-loads.
-        return ManifestGraphs(manifest, cache, graphs=graphs)
-    if lazy:
-        return ManifestGraphs(manifest, cache)
-    return list(ManifestGraphs(manifest, cache))
-
+    return prepare_designs(designs, config, workers=workers,
+                           verbose=verbose, cache=cache)

@@ -20,6 +20,7 @@ selectable immediately via ``repro.cli prepare --suite NAME``.
 from __future__ import annotations
 
 import glob
+import inspect
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -29,7 +30,7 @@ from ..circuit.design import Design
 from ..circuit.generator import hotspot_suite, macro_heavy_suite
 from .config import PipelineConfig
 
-__all__ = ["get_workload", "list_workloads", "load_workload"]
+__all__ = ["list_workloads", "load_workload"]
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,21 @@ def list_workloads() -> list[Workload]:
 
 def load_workload(name: str, config: PipelineConfig | None = None,
                   **params) -> list[Design]:
-    """Instantiate the designs of workload ``name`` for ``config``."""
+    """Instantiate the designs of workload ``name`` for ``config``.
+
+    Raises ``KeyError`` for an unknown name and ``ValueError`` for
+    parameters the factory's signature does not take (or a factory that
+    rejects them or produces nothing).  Anything else a factory raises
+    propagates unchanged: it is a bug, not a user error.
+    """
     config = config or PipelineConfig()
-    designs = get_workload(name).factory(config, **params)
+    factory = get_workload(name).factory
+    try:
+        inspect.signature(factory).bind(config, **params)
+    except TypeError as exc:
+        raise ValueError(f"suite {name!r} does not accept parameters "
+                         f"{sorted(params)}: {exc}") from None
+    designs = factory(config, **params)
     if not designs:
         raise ValueError(f"workload {name!r} produced no designs "
                          f"(params: {params!r})")

@@ -1,8 +1,8 @@
 """Crash-safe, checksummed blob primitives and the :class:`BlobStore`.
 
-Every durable artifact in the repo — stage-cache pickles, suite
-manifests, checkpoints, experiment manifests — goes to disk through the
-primitives in this module:
+Every durable artifact in the repo — stage-cache pickles, checkpoints,
+experiment manifests — goes to disk through the primitives in this
+module:
 
 * :func:`atomic_write_bytes` — tmp file in the destination directory,
   ``fsync``, ``os.replace``; bounded-backoff retries on transient I/O
@@ -24,7 +24,6 @@ stage cache (and any future shared-FS backend) sits on::
     <root>/objects/<kk>/<key>.pkl      write-once checksummed blobs
     <root>/leases/<name>.json          in-progress leases (see leases.py)
     <root>/quarantine/<file>,<file>.reason.json
-    <root>/manifests/<suite>.json      plain-JSON suite manifests
 
 A store whose root turns out to be unwritable (read-only FS, disk
 full) **degrades instead of raising**: the first failed write emits a
@@ -241,7 +240,7 @@ def sweep(root: str, *, max_tmp_age_s: float = 600.0,
     removed_tmp: list[str] = []
     removed_leases: list[str] = []
     now = time.time()
-    # One walk covers objects/, manifests/ and the files of a bare root
+    # One walk covers objects/ and the files of a bare root
     # (e.g. a checkpoint directory); lease and quarantine files are skipped.
     for dirpath, _, names in os.walk(root):
         if os.path.basename(dirpath) in ("leases", "quarantine"):
@@ -394,19 +393,6 @@ class BlobStore:
                                self.quarantine_dir, reason,
                                extra={"key": key})
 
-    def write_plain(self, path: str, data: bytes,
-                    point: str = "store.manifest") -> bool:
-        """Atomic unframed write (JSON manifests stay human-readable)."""
-        if not self.writable:
-            return False
-        try:
-            atomic_write_bytes(path, data, retry=self.retry,
-                               faults=self.faults, point=point)
-        except OSError as exc:
-            self._degrade(f"writing {os.path.basename(path)}: {exc}")
-            return False
-        return True
-
     # -- leases ----------------------------------------------------------
     def try_lease(self, name: str, ttl_s: float | None = None
                   ) -> Lease | None:
@@ -430,16 +416,6 @@ class BlobStore:
             self._degrade(f"lease {name[:12]}…: {exc}")
             return NullLease()
         return None
-
-    def lease_holder(self, name: str) -> dict | None:
-        """The live lease record for ``name``, if one exists."""
-        if self.root is None:
-            return None
-        try:
-            with open(self.lease_path(name)) as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return None
 
     # -- maintenance -----------------------------------------------------
     def gc(self, *, max_tmp_age_s: float = 600.0) -> dict:

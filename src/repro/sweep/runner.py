@@ -42,8 +42,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
-from ..api.experiment import (find_result_manifest, run_experiment,
-                              validate_result_manifest)
+from ..api.experiment import run_experiment, validate_result_manifest
 from ..api.spec import SpecError, spec_from_dict, spec_to_dict
 from ..store.blobs import BlobStore, quarantine_file, read_bytes
 from ..store.leases import lease_is_stale
@@ -95,20 +94,18 @@ def _manifest_for(artifacts_dir: str, fingerprint: str
     and ``(path, reason_str)`` when a file exists but is corrupt or
     mismatched (the caller quarantines or reports it).
     """
-    found = find_result_manifest(artifacts_dir, fingerprint)
-    if found is None:
+    # The canonical path of :func:`find_result_manifest`, read once
+    # through the store so chaos tests can flip its bytes.
+    path = os.path.join(artifacts_dir, "experiments", f"{fingerprint}.json")
+    try:
+        data = read_bytes(path, point="sweep.manifest.read")
+    except FileNotFoundError:
         return None, None
-    path, manifest = found
-    faults = current_injector()
-    if faults is not None and os.path.exists(path):
-        # Re-read through the injectable path so chaos tests can flip
-        # bytes on the wire; the plain-read fast path above stays free.
-        try:
-            manifest = json.loads(read_bytes(
-                path, point="sweep.manifest.read").decode())
-        except (OSError, ValueError) as exc:
-            return path, f"unreadable manifest: {exc}"
-    if not manifest:
+    except OSError as exc:
+        return path, f"unreadable manifest: {exc}"
+    try:
+        manifest = json.loads(data)
+    except ValueError:
         return path, "manifest does not parse as JSON"
     try:
         validate_result_manifest(manifest)

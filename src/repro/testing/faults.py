@@ -21,7 +21,6 @@ Points currently compiled in:
 ``store.write``            framed blob bytes about to be written (per attempt)
 ``store.write.tmp``        barrier between tmp-file write and the rename
 ``store.read``             blob bytes just read, before checksum verification
-``store.manifest``         suite-manifest bytes about to be written
 ``checkpoint.write``       checkpoint npz bytes about to be written
 ``checkpoint.write.tmp``   barrier between checkpoint tmp write and rename
 ``checkpoint.read``        checkpoint bytes just read, before verification

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.api import (ExperimentSpec, SpecError, apply_overrides,
-                       run_experiment, spec_fingerprint,
+                       load_dataset, run_experiment, spec_fingerprint,
                        validate_result_manifest)
 from repro.data import CongestionDataset
 
@@ -186,3 +186,28 @@ class TestManifestValidation:
         manifest["experiment"] = {"model": {"family": "nope"}}
         with pytest.raises(SpecError, match="unknown model family"):
             validate_result_manifest(manifest)
+
+
+class TestLoadDatasetErrors:
+    @pytest.fixture()
+    def broken_suite(self):
+        from repro.pipeline.workloads import _REGISTRY, register_workload
+
+        @register_workload("broken-factory", "test-only workload")
+        def _broken(config, count=1):
+            raise TypeError("bug inside the factory")
+
+        yield "broken-factory"
+        _REGISTRY.pop("broken-factory", None)
+
+    def test_rejected_params_are_a_spec_error(self, broken_suite):
+        spec = apply_overrides(ExperimentSpec(), [
+            f"workload.suite={broken_suite}", "workload.bookshelf_dir=d"])
+        with pytest.raises(SpecError, match="does not accept parameters"):
+            load_dataset(spec)
+
+    def test_type_error_inside_factory_tracebacks(self, broken_suite):
+        spec = apply_overrides(ExperimentSpec(),
+                               [f"workload.suite={broken_suite}"])
+        with pytest.raises(TypeError, match="bug inside the factory"):
+            load_dataset(spec)

@@ -1,10 +1,9 @@
-"""Staged-pipeline tests: per-stage cache, manifests, workloads, parallelism.
+"""Staged-pipeline tests: per-stage cache, workloads, parallelism.
 
 Covers the cache layer of :mod:`repro.pipeline`: per-stage hit/miss
 accounting, resume after a simulated mid-suite crash, fingerprint
 stability across process restarts, parallel == sequential output
-equivalence, the workload registry, and lazy manifest consumption by the
-dataset.
+equivalence, the workload registry, and the dataset's label check.
 """
 
 from __future__ import annotations
@@ -19,12 +18,12 @@ import pytest
 import repro.pipeline as pl
 import repro.pipeline.runner as runner_mod
 from repro.circuit import DesignSpec, generate_design, superblue_suite
-from repro.pipeline import (ManifestGraphs, PipelineConfig, StageCache,
-                            STAGE_CALLS, design_fingerprint, get_workload,
-                            list_workloads, load_workload, prepare_design,
-                            prepare_designs, prepare_workload,
-                            reset_stage_calls, stage_keys_for)
-from repro.pipeline.workloads import register_workload
+from repro.pipeline import (PipelineConfig, StageCache, STAGE_CALLS,
+                            design_fingerprint, list_workloads,
+                            load_workload, prepare_design, prepare_designs,
+                            prepare_workload, reset_stage_calls,
+                            stage_keys_for)
+from repro.pipeline.workloads import get_workload, register_workload
 from repro.placement import PlacementConfig
 from repro.routing import RouterConfig
 
@@ -61,10 +60,10 @@ class TestStageCache:
 
     def test_warm_run_does_zero_stage_work(self, cache_dir, tiny_designs):
         cfg = tiny_config()
-        first, _ = prepare_designs(tiny_designs, cfg)
+        first = prepare_designs(tiny_designs, cfg)
         reset_stage_calls()
         cache = StageCache(cache_dir)
-        second, _ = prepare_designs(tiny_designs, cfg, cache=cache)
+        second = prepare_designs(tiny_designs, cfg, cache=cache)
         assert STAGE_CALLS["place"] == 0
         assert STAGE_CALLS["route"] == 0
         assert STAGE_CALLS["graph"] == 0
@@ -112,7 +111,7 @@ class TestStageCache:
         # Resume: earlier designs hit the cache entirely; the crashed one
         # re-uses its already-persisted place/route products.
         reset_stage_calls()
-        graphs, _ = prepare_designs(tiny_designs, cfg)
+        graphs = prepare_designs(tiny_designs, cfg)
         assert len(graphs) == len(tiny_designs)
         assert STAGE_CALLS["place"] == 0
         assert STAGE_CALLS["route"] == 0
@@ -179,24 +178,23 @@ class TestParallelPreparation:
     @pytest.mark.slow
     def test_parallel_matches_sequential_bitwise(self, tiny_designs):
         cfg = tiny_config(use_cache=False)
-        seq, seq_entries = prepare_designs(tiny_designs, cfg, workers=1,
-                                           cache=StageCache(None))
-        par, par_entries = prepare_designs(tiny_designs, cfg, workers=4,
-                                           cache=StageCache(None))
+        seq = prepare_designs(tiny_designs, cfg, workers=1,
+                              cache=StageCache(None))
+        par = prepare_designs(tiny_designs, cfg, workers=4,
+                              cache=StageCache(None))
         for a, b in zip(seq, par):
             assert a.name == b.name
             assert np.array_equal(a.vc, b.vc)
             assert np.array_equal(a.vn, b.vn)
             assert np.array_equal(a.demand, b.demand)
             assert np.array_equal(a.congestion, b.congestion)
-        assert seq_entries == par_entries
 
     @pytest.mark.slow
     def test_parallel_workers_share_cache(self, cache_dir, tiny_designs):
         cfg = tiny_config()
         prepare_designs(tiny_designs, cfg, workers=2)
         reset_stage_calls()
-        graphs, _ = prepare_designs(tiny_designs, cfg, workers=1)
+        graphs = prepare_designs(tiny_designs, cfg, workers=1)
         assert STAGE_CALLS["place"] == 0  # parent reads workers' blobs
         assert len(graphs) == len(tiny_designs)
 
@@ -258,67 +256,32 @@ class TestWorkloads:
         assert len(graphs) == 2
         assert all(g.congestion is not None for g in graphs)
 
+    def test_warm_prepare_workload_runs_no_stage(self, cache_dir):
+        cfg = tiny_config()
+        first = prepare_workload("hotspot", cfg, count=2)
+        reset_stage_calls()
+        cache = StageCache(cache_dir)
+        second = prepare_workload("hotspot", cfg, count=2, cache=cache)
+        assert STAGE_CALLS["place"] == 0 and STAGE_CALLS["route"] == 0
+        assert STAGE_CALLS["graph"] == 0
+        assert cache.hits == 2 and cache.misses == 0  # one graph blob each
+        assert [g.name for g in second] == ["hotspot0", "hotspot1"]
+        for a, b in zip(first, second):
+            assert np.array_equal(a.congestion, b.congestion)
+
+    def test_rejected_params_name_suite_and_params(self):
+        with pytest.raises(ValueError,
+                           match=r"suite 'superblue' does not accept "
+                                 r"parameters \['count'\]"):
+            load_workload("superblue", tiny_config(), count=4)
+
     def test_bookshelf_requires_root(self):
         with pytest.raises(ValueError, match="root"):
             load_workload("bookshelf", tiny_config())
 
 
 class TestManifestsAndLazyDataset:
-    def test_manifest_written_and_reused(self, cache_dir):
-        cfg = tiny_config()
-        prepare_workload("hotspot", cfg, count=2)
-        reset_stage_calls()
-        lazy = prepare_workload("hotspot", cfg, count=2, lazy=True)
-        assert isinstance(lazy, ManifestGraphs)
-        assert STAGE_CALLS["place"] == 0 and STAGE_CALLS["route"] == 0
-        assert lazy.names == ["hotspot0", "hotspot1"]
-
-    def test_lazy_graphs_load_on_access_only(self, cache_dir):
-        cfg = tiny_config()
-        prepare_workload("hotspot", cfg, count=2)
-        lazy = prepare_workload("hotspot", cfg, count=2, lazy=True)
-        rates = lazy.congestion_rates(0)
-        assert len(rates) == 2
-        assert lazy._graphs == [None, None]  # metadata answered without I/O
-        g = lazy[1]
-        assert g.name == "hotspot1"
-        assert lazy._graphs[0] is None  # sibling untouched
-        assert lazy[1] is g  # memoised
-
-    def test_cold_lazy_view_is_preseeded(self, cache_dir):
-        lazy = prepare_workload("hotspot", tiny_config(), count=2, lazy=True)
-        assert isinstance(lazy, ManifestGraphs)
-        # The graphs just computed seed the memo: no re-deserialisation.
-        assert all(g is not None for g in lazy._graphs)
-
-    def test_corrupt_manifest_is_a_miss(self, cache_dir):
-        import glob as globmod
-        import json
-        cfg = tiny_config()
-        prepare_workload("hotspot", cfg, count=2)
-        (manifest_path,) = globmod.glob(os.path.join(cache_dir, "manifests",
-                                                     "*.json"))
-        with open(manifest_path) as handle:
-            payload = json.load(handle)
-        payload["entries"][0]["renamed_field"] = payload["entries"][0].pop(
-            "graph_key")  # schema drift → ManifestEntry(**e) TypeError
-        with open(manifest_path, "w") as handle:
-            json.dump(payload, handle)
-        graphs = prepare_workload("hotspot", cfg, count=2)  # must not crash
-        assert len(graphs) == 2
-
-    def test_dataset_consumes_manifest_lazily(self, cache_dir):
-        from repro.data import CongestionDataset
-        cfg = tiny_config()
-        prepare_workload("hotspot", cfg, count=4)
-        lazy = prepare_workload("hotspot", cfg, count=4, lazy=True)
-        ds = CongestionDataset(lazy, channels=1)
-        assert lazy._graphs == [None] * 4  # construction loads nothing
-        split = ds.split  # rates come from the manifest
-        assert lazy._graphs == [None] * 4
-        sample = ds.sample(0)
-        assert sample.cls_target.shape[1] == 1
-        assert sum(g is not None for g in lazy._graphs) == 1
+    """The dataset checks every graph's labels when it is built."""
 
     def test_dataset_still_validates_eager_lists(self, small_graph):
         from repro.data import CongestionDataset

@@ -18,10 +18,6 @@ class TestSparseMatrix:
         assert m.shape == (3, 3)
         assert m.nnz == 3
 
-    def test_from_coo_duplicates_summed(self):
-        m = SparseMatrix.from_coo([0, 0], [1, 1], [1.0, 2.0], shape=(2, 2))
-        assert m.toarray()[0, 1] == 3.0
-
     def test_row_col_sums(self):
         m = SparseMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
         assert np.allclose(m.row_sums(), [2, 1])

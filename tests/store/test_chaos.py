@@ -140,7 +140,7 @@ class TestCrashResume:
         # ...resume without faults: only the missing products recompute.
         reset_stage_calls()
         cache = StageCache(root)
-        graphs, _ = prepare_designs(designs, config, cache=cache)
+        graphs = prepare_designs(designs, config, cache=cache)
         assert len(graphs) == 2
         assert sum(STAGE_CALLS[s] for s in ("place", "route", "graph")) \
             == missing
@@ -150,7 +150,7 @@ class TestCrashResume:
 
         # And the resumed cache state is complete and clean.
         rerun = StageCache(root)
-        again, _ = prepare_designs(designs, config, cache=rerun)
+        again = prepare_designs(designs, config, cache=rerun)
         assert rerun.hits == 2 and rerun.misses == 0
         np.testing.assert_array_equal(again[0].congestion,
                                       graphs[0].congestion)

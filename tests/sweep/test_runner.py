@@ -166,6 +166,26 @@ class TestQuarantine:
         reason = json.loads(reason_path.read_text())
         assert reason["fingerprint"] == point.fingerprint
 
+    def test_flipped_manifest_byte_quarantined_and_reexecuted(
+            self, tmp_path, stub_executor):
+        """A byte flipped whenever done-detection reads a valid manifest
+        makes it corrupt: quarantined, and the point runs again."""
+        from repro.testing import FaultInjector, FaultRule, install_faults
+        sweep = make_sweep(tmp_path)
+        point = expand_grid(sweep)[0]
+        path = write_stub_manifest(point.spec)
+        install_faults(FaultInjector([FaultRule(
+            point="sweep.manifest.read", action="flip",
+            match=point.fingerprint, count=-1)]))
+        report = run_sweep(sweep, execute=stub_executor)
+        assert report.executed == 4  # the flipped point ran again
+        names = os.listdir(tmp_path / "quarantine")
+        base = os.path.basename(path)
+        assert any(n.startswith(base) and not n.endswith(".reason.json")
+                   for n in names)
+        executed = [e["fingerprint"] for e in journal_events(str(tmp_path))]
+        assert executed.count(point.fingerprint) == 1
+
     def test_wrong_fingerprint_manifest_is_not_done(self, tmp_path,
                                                     stub_executor):
         """A manifest embedding another spec's fingerprint never
