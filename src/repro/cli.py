@@ -184,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-batch", type=_positive_int, default=8,
                    dest="max_batch",
                    help="max designs composed into one block-diagonal "
-                        "forward pass per flush")
+                        "forward pass per dispatch")
     p.add_argument("--dtype", choices=("float32", "float64"), default=None,
                    help="serve at this compute dtype regardless of how "
                         "the checkpoint was trained (default: the "
@@ -197,11 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="max admitted-but-unanswered requests before "
                         "backpressure replies (global; per-connection cap "
                         "is a quarter of this)")
-    p.add_argument("--flush-deadline-ms", type=float, default=25.0,
-                   dest="flush_deadline_ms",
-                   help="auto-flush latency target — a buffered warm "
-                        "batch dispatches after this long even if the size "
-                        "trigger hasn't fired")
     p.add_argument("--admin-token", default=None, dest="admin_token",
                    help="require this token on reload/shutdown ops "
                         "(default: admin ops are open)")
@@ -527,7 +522,6 @@ def cmd_serve(args) -> int:
         config=ServiceConfig(workers=args.workers,
                              max_queue=args.max_queue,
                              max_queue_per_conn=max(1, args.max_queue // 4),
-                             flush_deadline_ms=args.flush_deadline_ms,
                              admin_token=args.admin_token),
         default_suite=args.suite, dtype=args.dtype)
     banner = (f"[serve] {metadata['model']['family']} checkpoint, "

@@ -15,7 +15,7 @@ Both follow the queue-then-flush model::
 
     client.predict(design="superblue5")        # queued
     client.predict(design="superblue7")        # queued
-    results = client.flush()                   # one batched forward pass
+    results = client.flush()                   # both answered
 """
 
 from __future__ import annotations
@@ -160,10 +160,10 @@ class ServeClient:
         """Answer every queued request; returns results as they arrived.
 
         Results stream back before the flush summary; some may already
-        have been pushed (auto-flush deadline) and stashed — both end up
-        here.  Failed per-request replies (``status: "failed"``) are
-        returned alongside successes, not raised: one bad request must
-        not hide the other results.
+        have been pushed (a free worker dispatches at once) and stashed —
+        both end up here.  Failed per-request replies (``status:
+        "failed"``) are returned alongside successes, not raised: one
+        bad request must not hide the other results.
         """
         self._send({"op": "flush"})
         results, self._pushed = self._pushed, []
@@ -319,7 +319,7 @@ class AsyncServeClient:
         return await future
 
     async def flush(self) -> dict:
-        """Force buffered batches and barrier this connection's requests."""
+        """Wait until this connection's requests are answered (a barrier)."""
         return await self._request({"op": "flush"})
 
     async def stats(self, workers: bool = False) -> dict:

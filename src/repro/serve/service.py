@@ -22,12 +22,12 @@ Semantics, in the order they matter operationally:
   queue.  Warm queues drain with strict priority and cold jobs dispatch
   one request at a time, so a warm request is never queued behind the
   cold preparation backlog — it waits at most one in-flight job.
-* **Auto-flush deadline** — warm requests buffer up to the engine's
-  ``ServeConfig.max_batch`` to share one block-diagonal forward pass,
-  but never longer than ``flush_deadline_ms``: the latency target
-  triggers the batch even when the size trigger hasn't fired.  An
-  explicit ``flush`` op forces every buffer and barriers until the
-  connection's requests are answered.
+* **Work-conserving batching** — a free worker dispatches what its warm
+  queue holds at once, up to the engine's ``ServeConfig.max_batch`` in
+  one block-diagonal forward pass; it never idles waiting for a batch
+  to fill.  Warm requests that arrive while the worker is busy form its
+  next batch.  A ``flush`` op is a barrier: it is answered once the
+  connection's requests are.
 * **Crash containment** — a worker killed or hung mid-batch is detected
   by the supervisor's watchdog and restarted; the affected requests are
   retried once on the fresh worker and, failing that, answered with an
@@ -52,7 +52,6 @@ import json
 import os
 import sys
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -74,14 +73,12 @@ class ServiceConfig:
     the one batch size of the service and its workers); ``max_queue`` /
     ``max_queue_per_conn`` bound the admitted-but-unanswered requests
     globally and per connection (overflow gets an immediate
-    backpressure reply); ``flush_deadline_ms`` is the auto-flush latency
-    target for warm batches; ``job_timeout_s`` is the hung-worker
+    backpressure reply); ``job_timeout_s`` is the hung-worker
     watchdog; ``max_retries`` caps re-dispatches of a batch whose worker
     crashed; ``admin_token``, when set, gates ``reload``/``shutdown``.
     """
 
     workers: int = 2
-    flush_deadline_ms: float = 25.0
     max_queue: int = 256
     max_queue_per_conn: int = 64
     job_timeout_s: float = 120.0
@@ -100,8 +97,6 @@ class _Item:
     lane: str
     conn: "_Connection"
     future: asyncio.Future
-    enqueued_at: float
-    deadline_at: float
     retries: int = 0
 
     @property
@@ -165,7 +160,6 @@ class ServeService:
         self._warm: list[deque[_Item]] = [deque() for _ in range(workers)]
         self._cold: list[deque[_Item]] = [deque() for _ in range(workers)]
         self._wake = [asyncio.Event() for _ in range(workers)]
-        self._force_flush = [False] * workers
         self._gate = asyncio.Event()
         self._gate.set()
         self._idle = asyncio.Event()
@@ -228,7 +222,7 @@ class ServeService:
         are read by a daemon thread, so real pipes and in-memory
         streams such as :class:`io.StringIO` both work.  ``shutdown``
         drains and ends it; EOF ends it like a TCP disconnect: requests
-        not yet flushed are dropped once any in-flight batch finishes.
+        still queued are dropped once any in-flight batch finishes.
         An error reading ``stdin`` ends the session and is raised here.
         """
         stdin = sys.stdin if stdin is None else stdin
@@ -282,11 +276,9 @@ class ServeService:
             route = self.router.route(payload)
         except ValueError as exc:
             return self._reject(request_id, "failed", str(exc))
-        now = time.monotonic()
         item = _Item(payload=payload, key=route.key, lane=route.lane,
-                     conn=conn, future=asyncio.get_running_loop()
-                     .create_future(), enqueued_at=now,
-                     deadline_at=now + self.config.flush_deadline_ms / 1000.0)
+                     conn=conn,
+                     future=asyncio.get_running_loop().create_future())
         lane = self._warm if route.lane == "warm" else self._cold
         lane[route.worker].append(item)
         conn.outstanding.add(item)
@@ -303,32 +295,18 @@ class ServeService:
     def _take_batch(self, w: int) -> list[_Item] | None:
         """The next batch worker ``w`` should run, or None to sleep.
 
-        Warm items go first, in batches up to ``serve.max_batch``, but only
-        once *due* (size trigger, auto-flush deadline, or a forced
-        flush).  Cold items dispatch one at a time so a warm arrival
-        waits at most one preparation, never a backlog.
+        Work-conserving: queued warm items go at once, up to
+        ``serve.max_batch`` of them, and first.  Cold items dispatch one
+        at a time so a warm arrival waits at most one preparation, never
+        a backlog.
         """
         warm = self._warm[w]
         if warm:
-            max_batch = self.serve.max_batch
-            due = (len(warm) >= max_batch
-                   or self._force_flush[w]
-                   or time.monotonic() >= warm[0].deadline_at)
-            if due:
-                batch = [warm.popleft()
-                         for _ in range(min(len(warm), max_batch))]
-                if not warm:
-                    self._force_flush[w] = False
-                return batch
+            return [warm.popleft()
+                    for _ in range(min(len(warm), self.serve.max_batch))]
         if self._cold[w]:
             return [self._cold[w].popleft()]
         return None
-
-    def _sleep_seconds(self, w: int) -> float | None:
-        """How long worker ``w`` may sleep before its oldest warm is due."""
-        if not self._warm[w]:
-            return None
-        return max(0.0, self._warm[w][0].deadline_at - time.monotonic())
 
     async def _worker_loop(self, w: int) -> None:
         loop = asyncio.get_running_loop()
@@ -337,14 +315,9 @@ class ServeService:
             batch = self._take_batch(w)
             if batch is None:
                 # No await separates _take_batch from clear(), so no
-                # admit can slip between them; sleep until woken or
-                # until the oldest buffered warm item hits its deadline.
+                # admit can slip between them; sleep until one wakes us.
                 self._wake[w].clear()
-                try:
-                    await asyncio.wait_for(self._wake[w].wait(),
-                                           self._sleep_seconds(w))
-                except TimeoutError:
-                    pass
+                await self._wake[w].wait()
                 continue
             self._inflight += 1
             self._idle.clear()
@@ -412,13 +385,6 @@ class ServeService:
         if self._queued == 0:
             self._drained.set()
 
-    def _force_all(self) -> None:
-        """Force every warm buffer to dispatch at its next pick."""
-        for w in range(self.config.workers):
-            if self._warm[w] or self._cold[w]:
-                self._force_flush[w] = True
-                self._wake[w].set()
-
     # -- admin ops -------------------------------------------------------
     def _admin_error(self, payload: dict) -> str | None:
         token = self.config.admin_token
@@ -452,9 +418,8 @@ class ServeService:
                 "checkpoint": checkpoint, "workers": acks}
 
     async def _drain(self) -> int:
-        """Stop admitting, force-flush, and wait out every queued item."""
+        """Stop admitting and wait out every queued item."""
         self._draining = True
-        self._force_all()
         remaining = self._queued
         await self._drained.wait()
         return remaining
@@ -560,7 +525,6 @@ class ServeService:
         if op == "predict":
             conn.send(self._admit_predict(conn, payload))
         elif op == "flush":
-            self._force_all()
             pending = [item.future for item in list(conn.outstanding)]
             if pending:
                 await asyncio.wait(pending)

@@ -83,10 +83,9 @@ class InProcessSupervisor:
 
 
 def make_service(engine, resolver, **config) -> ServeService:
-    """A one-worker service; warm batches wait for an explicit flush."""
+    """A one-worker service over the in-process supervisor."""
     return ServeService(
-        None, config=ServiceConfig(workers=1, flush_deadline_ms=60000.0,
-                                   **config),
+        None, config=ServiceConfig(workers=1, **config),
         supervisor=InProcessSupervisor(engine, resolver))
 
 

@@ -4,8 +4,8 @@ Two layers:
 
 * **Fake-supervisor units** — a scriptable in-process supervisor makes
   queueing semantics deterministic: backpressure replies, warm-lane
-  priority, auto-flush deadlines, crash retry accounting, drain and
-  reload barriers, admin scoping, protocol fuzz.
+  priority, work-conserving batching, the flush barrier, crash retry
+  accounting, drain and reload barriers, admin scoping, protocol fuzz.
 * **Real end-to-end** — a real :class:`~repro.serve.Supervisor` with
   worker processes behind the real TCP front end, driven by
   :class:`~repro.serve.AsyncServeClient`: the graceful-reload
@@ -17,7 +17,6 @@ import asyncio
 import contextlib
 import json
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from repro.placement import PlacementConfig
 from repro.routing import RouterConfig
 from repro.serve import (AsyncServeClient, ServeConfig, ServeService,
                          ServiceConfig, WorkerCrashed, save_model)
+from repro.serve.service import _Item
 
 SPEC_A = {"name": "svc-a", "seed": 3, "num_movable": 60, "die_size": 32.0}
 SPEC_B = {"name": "svc-b", "seed": 4, "num_movable": 60, "die_size": 32.0}
@@ -215,8 +215,7 @@ class TestFakeSupervisorUnits:
 
     def test_warm_lane_has_priority_over_cold_backlog(self):
         async def main():
-            service, supervisor = fake_service(
-                ServiceConfig(flush_deadline_ms=60000.0), max_batch=2)
+            service, supervisor = fake_service(max_batch=2)
             async with running(service) as port:
                 async with await AsyncServeClient.connect(port) as client:
                     # Teach the router that SPEC_A is warm.
@@ -243,41 +242,49 @@ class TestFakeSupervisorUnits:
                              ["svc-c"]]
         asyncio.run(main())
 
-    def test_deadline_auto_flushes_a_partial_batch(self):
+    def test_warm_requests_queued_behind_a_busy_worker_share_a_batch(self):
         async def main():
-            service, supervisor = fake_service(
-                ServiceConfig(flush_deadline_ms=300.0), max_batch=100)
+            service, supervisor = fake_service(max_batch=100)
+            supervisor.block = threading.Event()
             async with running(service) as port:
                 async with await AsyncServeClient.connect(port) as client:
-                    await asyncio.wait_for(client.predict(spec=SPEC_A), 30)
-                    started = time.monotonic()
+                    # A cold request occupies the worker...
+                    _, first = await client.predict(spec=SPEC_A, wait=False)
+                    while not supervisor.calls:  # its dispatch began
+                        await asyncio.sleep(0.01)
+                    # ...while three warm repeats queue behind it.
                     futures = [
                         (await client.predict(spec=SPEC_A,
                                               wait=False))[1]
                         for _ in range(3)]
-                    # No explicit flush: the deadline must fire.
-                    await asyncio.wait_for(asyncio.gather(*futures), 30)
-                    elapsed = time.monotonic() - started
-                    assert elapsed >= 0.15  # waited for the deadline...
-            # ...and the three buffered requests shared one dispatch.
+                    supervisor.block.set()
+                    await asyncio.wait_for(
+                        asyncio.gather(first, *futures), 30)
+            # No explicit flush: the free worker took all three at once.
             assert [len(b) for b in supervisor.batches] == [1, 3]
         asyncio.run(main())
 
-    def test_flush_forces_buffered_batches_immediately(self):
+    def test_flush_is_a_barrier_on_the_connections_requests(self):
         async def main():
-            service, supervisor = fake_service(
-                ServiceConfig(flush_deadline_ms=60000.0), max_batch=100)
+            service, supervisor = fake_service(max_batch=100)
             async with running(service) as port:
                 async with await AsyncServeClient.connect(port) as client:
                     await asyncio.wait_for(client.predict(spec=SPEC_A), 30)
+                    supervisor.block = threading.Event()
                     futures = [
                         (await client.predict(spec=SPEC_A,
                                               wait=False))[1]
                         for _ in range(2)]
-                    summary = await asyncio.wait_for(client.flush(), 30)
+                    flush = asyncio.create_task(client.flush())
+                    while len(supervisor.calls) < 2:  # a batch is blocked
+                        await asyncio.sleep(0.01)
+                    await asyncio.sleep(0.05)
+                    assert not flush.done()  # held by the blocked batch
+                    supervisor.block.set()
+                    summary = await asyncio.wait_for(flush, 30)
                     assert summary["status"] == "flushed"
                     assert summary["count"] == 2
-                    for future in futures:  # resolved by the flush barrier
+                    for future in futures:  # answered before the ack
                         assert future.done() and future.result()["ok"]
         asyncio.run(main())
 
@@ -309,8 +316,7 @@ class TestFakeSupervisorUnits:
 
     def test_shutdown_drains_queued_requests_and_rejects_new(self):
         async def main():
-            service, supervisor = fake_service(
-                ServiceConfig(flush_deadline_ms=60000.0), max_batch=100)
+            service, supervisor = fake_service(max_batch=100)
             async with running(service) as port:
                 client = await AsyncServeClient.connect(port)
                 admin = await AsyncServeClient.connect(port)
@@ -353,6 +359,44 @@ class TestFakeSupervisorUnits:
                     reply = await client.shutdown(token="sekrit")
                     assert reply["ok"]
         asyncio.run(main())
+
+
+class TestTakeBatch:
+    """``_take_batch`` on hand-filled queues: no event loop, no clock."""
+
+    @staticmethod
+    def queued(warm=0, cold=0, max_batch=8):
+        service, _ = fake_service(max_batch=max_batch)
+        items = {}
+        for lane, count in (("cold", cold), ("warm", warm)):
+            items[lane] = [_Item(payload={"id": f"{lane}-{i}"}, key=lane,
+                                 lane=lane, conn=None, future=None)
+                           for i in range(count)]
+            queues = service._warm if lane == "warm" else service._cold
+            queues[0].extend(items[lane])
+        return service, items
+
+    def test_idle_worker_takes_a_lone_warm_item_at_once(self):
+        service, items = self.queued(warm=1)
+        assert service._take_batch(0) == items["warm"]
+        assert service._take_batch(0) is None
+
+    def test_warm_is_taken_before_cold(self):
+        service, items = self.queued(warm=2, cold=1)
+        assert service._take_batch(0) == items["warm"]
+        assert service._take_batch(0) == items["cold"]
+
+    def test_a_batch_is_capped_at_max_batch(self):
+        service, items = self.queued(warm=5, max_batch=2)
+        assert [service._take_batch(0) for _ in range(3)] == [
+            items["warm"][:2], items["warm"][2:4], items["warm"][4:]]
+        assert service._take_batch(0) is None
+
+    def test_cold_is_taken_one_item_at_a_time(self):
+        service, items = self.queued(cold=3)
+        assert [service._take_batch(0) for _ in range(3)] == [
+            [item] for item in items["cold"]]
+        assert service._take_batch(0) is None
 
 
 class TestServiceProtocol:
@@ -464,33 +508,58 @@ class TestEndToEnd:
                 checkpoints[0],
                 serve=ServeConfig(pipeline=small_pipeline(), max_batch=100,
                                   cache_dir=str(tmp_path / "cache")),
-                config=ServiceConfig(workers=1, flush_deadline_ms=60000.0))
+                config=ServiceConfig(workers=1))
+            gate, entered = threading.Event(), threading.Event()
+            gate.set()
+            dispatch = service.supervisor.dispatch
+
+            def gated(worker_id, op, payload=None, **kwargs):
+                if op == "predict_batch" and not gate.is_set():
+                    entered.set()
+                    gate.wait(120)
+                return dispatch(worker_id, op, payload, **kwargs)
+
+            service.supervisor.dispatch = gated
             async with running(service) as port:
                 async with await AsyncServeClient.connect(port) as client:
                     before = await asyncio.wait_for(
                         client.predict(spec=SPEC_A), 120)
                     assert before["ok"]
-                    # Buffer warm requests the (long) deadline will not
-                    # release, then reload underneath them.
+                    gate.clear()
+                    # One warm request in flight, held at the gate...
+                    ack, inflight = await client.predict(spec=SPEC_A,
+                                                         wait=False)
+                    assert ack["lane"] == "warm"
+                    while not entered.is_set():
+                        await asyncio.sleep(0.01)
+                    # ...three queued behind it, and a reload under them.
                     futures = []
                     for _ in range(3):
                         ack, future = await client.predict(spec=SPEC_A,
                                                            wait=False)
                         assert ack["lane"] == "warm"
                         futures.append(future)
-                    reply = await asyncio.wait_for(
-                        client.reload(checkpoints[1]), 120)
+                    reload = asyncio.create_task(
+                        client.reload(checkpoints[1]))
+                    while service._gate.is_set():  # the reload closed it
+                        await asyncio.sleep(0.01)
+                    gate.set()
+                    reply = await asyncio.wait_for(reload, 120)
                     assert reply["ok"]
                     await asyncio.wait_for(client.flush(), 120)
-                    replies = [f.result() for f in futures]
+                    replies = [f.result() for f in [inflight, *futures]]
                     assert all(r["ok"] for r in replies)
                     old = np.array(before["result"]["grids"]["h"])
-                    for r in replies:  # answered by the NEW checkpoint
+                    # The in-flight batch finished on the OLD checkpoint;
+                    # the queued ones were answered by the NEW one.
+                    assert np.allclose(
+                        old, np.array(replies[0]["result"]["grids"]["h"]))
+                    for r in replies[1:]:
                         new = np.array(r["result"]["grids"]["h"])
                         assert not np.allclose(old, new)
                     stats = (await client.stats())["service"]
-                    assert stats["admitted"] == 4
-                    assert stats["delivered"] == 4
+                    assert stats["admitted"] == 5
+                    assert stats["delivered"] == 5
                     assert stats["discarded"] == 0
                     assert stats["checkpoint"] == checkpoints[1]
         asyncio.run(main())
